@@ -206,9 +206,10 @@ void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
   if (opt.smoke) {
     cases = {{16, 1}, {12, 1}};
   } else {
-    // 64^3 x 8 threads is the PR-4 acceptance configuration; 21 covers
-    // the Bluestein (non-power-of-two) path the paper's grids hit.
-    cases = {{32, 1}, {64, 1}, {64, 8}, {21, 1}};
+    // 64^3 x 8 threads is the PR-4 acceptance configuration; 12, 14 and
+    // 21 run the Stockham mixed-radix path (12^3 is the Si8 SCF grid),
+    // and 26 = 2*13 keeps one Bluestein case.
+    cases = {{32, 1}, {64, 1}, {64, 8}, {12, 1}, {14, 1}, {21, 1}, {26, 1}};
   }
   const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
 

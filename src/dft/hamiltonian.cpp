@@ -1,6 +1,10 @@
 #include "dft/hamiltonian.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
+#include "fft/real_columns.hpp"
 
 namespace lrt::dft {
 
@@ -26,70 +30,57 @@ void KsHamiltonian::apply(la::RealConstView psi, la::RealView out) const {
                 psi.cols() == out.cols(),
             "apply shape mismatch");
   const Index k = psi.cols();
-  std::vector<fft::Complex> work(static_cast<std::size_t>(nr_));
-  std::vector<Real> kin(static_cast<std::size_t>(nr_));
-
-  for (Index j = 0; j < k; ++j) {
-    // Kinetic: FFT column j, multiply ½G², inverse FFT.
-    for (Index i = 0; i < nr_; ++i) {
-      work[static_cast<std::size_t>(i)] = fft::Complex(psi(i, j), 0);
-    }
-    fft_.forward(work.data());
-    for (Index i = 0; i < nr_; ++i) {
-      work[static_cast<std::size_t>(i)] *= half_g2_[static_cast<std::size_t>(i)];
-    }
-    fft_.inverse_real(work.data(), kin.data());
-    for (Index i = 0; i < nr_; ++i) {
-      out(i, j) = kin[static_cast<std::size_t>(i)] +
-                  veff_[static_cast<std::size_t>(i)] * psi(i, j);
-    }
+  // Kinetic: ½G² in reciprocal space, two columns per transform.
+  fft::apply_real_multiplier(
+      fft_, k, psi.data(), psi.ld(), out.data(), out.ld(),
+      [this](Index g) { return half_g2_[static_cast<std::size_t>(g)]; });
+  for (Index i = 0; i < nr_; ++i) {
+    const Real v = veff_[static_cast<std::size_t>(i)];
+    for (Index j = 0; j < k; ++j) out(i, j) = out(i, j) + v * psi(i, j);
   }
   if (nonlocal_) nonlocal_->accumulate(psi, out);
 }
 
 Real KsHamiltonian::kinetic_energy(const Real* psi) const {
-  std::vector<fft::Complex> work(static_cast<std::size_t>(nr_));
-  for (Index i = 0; i < nr_; ++i) {
-    work[static_cast<std::size_t>(i)] = fft::Complex(psi[i], 0);
-  }
-  fft_.forward(work.data());
+  const Real one = 1;
+  return kinetic_sum(psi, 1, 1, &one);
+}
+
+Real KsHamiltonian::kinetic_energy(la::RealConstView psi,
+                                   const std::vector<Real>& weights) const {
+  LRT_CHECK(psi.rows() == nr_ &&
+                static_cast<Index>(weights.size()) >= psi.cols(),
+            "kinetic_energy shape mismatch");
+  return kinetic_sum(psi.data(), psi.cols(), psi.ld(), weights.data());
+}
+
+Real KsHamiltonian::kinetic_sum(const Real* psi, Index k, Index ld,
+                                const Real* weights) const {
   // ⟨ψ|½G²|ψ⟩ in G space; forward FFT is unnormalized so divide by Nr
   // to get Parseval-consistent coefficients relative to l2-normalized ψ.
-  Real sum = 0;
-  for (Index i = 0; i < nr_; ++i) {
-    sum += half_g2_[static_cast<std::size_t>(i)] *
-           std::norm(work[static_cast<std::size_t>(i)]);
-  }
-  return sum / static_cast<Real>(nr_);
+  return fft::weighted_spectral_sum(fft_, k, psi, ld, weights,
+                                    [this](Index g) {
+                                      return half_g2_[static_cast<std::size_t>(g)];
+                                    }) /
+         static_cast<Real>(nr_);
 }
 
 void KsHamiltonian::precondition(la::RealView r,
                                  const std::vector<Real>& ekin) const {
   const Index k = r.cols();
   LRT_CHECK(static_cast<Index>(ekin.size()) >= k, "ekin per column required");
-  std::vector<fft::Complex> work(static_cast<std::size_t>(nr_));
-  std::vector<Real> filtered(static_cast<std::size_t>(nr_));
-  for (Index j = 0; j < k; ++j) {
-    for (Index i = 0; i < nr_; ++i) {
-      work[static_cast<std::size_t>(i)] = fft::Complex(r(i, j), 0);
-    }
-    fft_.forward(work.data());
-    const Real scale =
-        std::max(ekin[static_cast<std::size_t>(j)], Real{1e-3});
-    for (Index i = 0; i < nr_; ++i) {
-      // Teter-Payne-Allan rational filter in x = T/E_kin.
-      const Real x = half_g2_[static_cast<std::size_t>(i)] / scale;
-      const Real x2 = x * x;
-      const Real x3 = x2 * x;
-      const Real num = 27.0 + 18.0 * x + 12.0 * x2 + 8.0 * x3;
-      const Real den = num + 16.0 * x3 * x;
-      work[static_cast<std::size_t>(i)] *= num / den;
-    }
-    fft_.inverse_real(work.data(), filtered.data());
-    for (Index i = 0; i < nr_; ++i) {
-      r(i, j) = filtered[static_cast<std::size_t>(i)];
-    }
-  }
+  // Teter-Payne-Allan rational filter in x = T/E_kin, per column.
+  fft::apply_real_multiplier(
+      fft_, k, r.data(), r.ld(), r.data(), r.ld(), [&](Index j, Index g) {
+        const Real scale =
+            std::max(ekin[static_cast<std::size_t>(j)], Real{1e-3});
+        const Real x = half_g2_[static_cast<std::size_t>(g)] / scale;
+        const Real x2 = x * x;
+        const Real x3 = x2 * x;
+        const Real num = 27.0 + 18.0 * x + 12.0 * x2 + 8.0 * x3;
+        const Real den = num + 16.0 * x3 * x;
+        return num / den;
+      });
 }
 
 }  // namespace lrt::dft

@@ -10,6 +10,7 @@
 #include "dft/lobpcg_gs.hpp"
 #include "dft/pseudopotential.hpp"
 #include "dft/xc.hpp"
+#include "fft/real_columns.hpp"
 #include "la/lu.hpp"
 
 namespace lrt::dft {
@@ -242,14 +243,12 @@ KohnShamResult solve_ground_state(const grid::Structure& structure,
   fft::Fft3D mixer_fft(shape[0], shape[1], shape[2]);
   auto kerker_filter = [&](std::vector<Real>& delta) {
     if (options.kerker_q0 <= 0) return;
-    std::vector<fft::Complex> work(static_cast<std::size_t>(nr));
-    mixer_fft.forward(delta.data(), work.data());
     const Real q02 = options.kerker_q0 * options.kerker_q0;
-    for (Index i = 0; i < nr; ++i) {
-      const Real g2 = gvectors.g2(i);
-      work[static_cast<std::size_t>(i)] *= g2 / (g2 + q02);
-    }
-    mixer_fft.inverse_real(work.data(), delta.data());
+    fft::apply_real_multiplier(mixer_fft, 1, delta.data(), 1, delta.data(), 1,
+                               [&](Index g) {
+                                 const Real g2 = gvectors.g2(g);
+                                 return g2 / (g2 + q02);
+                               });
   };
 
   PulayMixer mixer(std::max<Index>(1, options.pulay_history), options.mixing,
@@ -334,18 +333,20 @@ KohnShamResult solve_ground_state(const grid::Structure& structure,
   // Total energy: E = T_s + E_nl + ∫V_loc n + E_H + E_xc + E_II.
   Real kinetic = 0;
   {
+    std::vector<Real> weights(static_cast<std::size_t>(nb), Real{0});
     std::vector<Real> column(static_cast<std::size_t>(nr));
     for (Index j = 0; j < nb; ++j) {
       const Real f = occupations[static_cast<std::size_t>(j)];
       if (f < 1e-12) continue;
+      weights[static_cast<std::size_t>(j)] = f;
       for (Index i = 0; i < nr; ++i) {
         column[static_cast<std::size_t>(i)] = orbitals(i, j);
       }
       // Columns are l2-normalized here; NonlocalProjectors::energy is
       // quadratic in the dv-metric coefficient, so divide by dv once.
-      kinetic += f * (h.kinetic_energy(column.data()) +
-                      nonlocal->energy(column.data()) / dv);
+      kinetic += f * nonlocal->energy(column.data()) / dv;
     }
+    kinetic += h.kinetic_energy(orbitals.view(), weights);
   }
   Real e_ext = 0;
   for (Index i = 0; i < nr; ++i) {

@@ -1,9 +1,16 @@
 // One-dimensional complex FFT.
 //
-// Power-of-two lengths use an iterative radix-2 Cooley-Tukey transform;
-// arbitrary lengths fall back to Bluestein's chirp-z algorithm built on a
-// padded radix-2 transform. This mirrors what FFTW provides to the paper's
-// code: the plane-wave grids are rarely powers of two (104, 166, ...).
+// Every transform runs batched on element-major split-complex tiles
+// (docs/PERFORMANCE.md §2), with one of three kernels picked by length:
+// power-of-two lengths use an iterative radix-2 Cooley-Tukey transform,
+// lengths whose prime factors are all 2, 3, 5 or 7 use a Stockham
+// mixed-radix transform (radix-4 and radix-2 butterflies plus one
+// odd-prime butterfly for 3, 5 and 7), and every other length uses
+// Bluestein's chirp-z algorithm on a padded radix-2 transform. This
+// mirrors what FFTW provides to the paper's code: the plane-wave grids
+// are rarely powers of two (104, 166, ...). The per-line
+// forward()/inverse() are batches of one, so batched and per-line results
+// are bitwise equal.
 //
 // Normalization: forward is unnormalized, inverse divides by n, so
 // inverse(forward(x)) == x.
@@ -19,8 +26,11 @@ namespace lrt::fft {
 
 using Complex = std::complex<Real>;
 
-/// Reusable transform plan for a fixed length (twiddles and, for
-/// non-power-of-two lengths, the Bluestein chirp spectra are precomputed).
+/// Reusable transform plan for a fixed length (twiddles, Stockham stages
+/// and, for lengths with a prime factor above 7, the Bluestein chirp
+/// spectra are precomputed). Plans are immutable after construction and
+/// may be shared between threads; tile scratch belongs to the calling
+/// thread.
 class Fft1D {
  public:
   explicit Fft1D(Index n);
@@ -33,10 +43,10 @@ class Fft1D {
 
   Index size() const;
 
-  /// In-place forward transform of n contiguous values.
+  /// In-place forward transform of n contiguous values (a batch of one).
   void forward(Complex* x) const;
 
-  /// In-place inverse transform (normalized by 1/n).
+  /// In-place inverse transform (normalized by 1/n; a batch of one).
   void inverse(Complex* x) const;
 
   /// In-place forward transform of `count` lines sharing this plan.
@@ -46,7 +56,8 @@ class Fft1D {
   /// access cost is paid once per element, and the butterflies run
   /// across lines with unit stride (SIMD) — results are bitwise
   /// identical to calling forward() per line. Threads over tiles with
-  /// OpenMP unless already inside a parallel region.
+  /// OpenMP when worth_a_team(count, n) and the batch spans several
+  /// tiles.
   void forward_many(Complex* base, Index count, Index stride,
                     Index dist) const;
 
@@ -72,5 +83,10 @@ bool is_power_of_two(Index n);
 
 /// Smallest power of two >= n.
 Index next_power_of_two(Index n);
+
+/// True when `count` lines of length n are enough work to fork an OpenMP
+/// team (count·n > 16384) and no team is running yet. Every FFT parallel
+/// region is gated by it.
+bool worth_a_team(Index count, Index n);
 
 }  // namespace lrt::fft

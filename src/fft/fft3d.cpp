@@ -1,12 +1,10 @@
 #include "fft/fft3d.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace lrt::fft {
 
@@ -20,8 +18,9 @@ Fft3D::Fft3D(Index n0, Index n1, Index n2)
 // (docs/PERFORMANCE.md §2): the batched API tiles the strided gather
 // into contiguous transposed buffers and runs butterflies across lines,
 // replacing the old per-element copy loops. Axis 1 is phrased per-slab
-// so an OpenMP team can take whole slabs when there are enough of them;
-// each slab is itself a batched (count=n2, stride=n2, dist=1) call.
+// so an OpenMP team can take whole slabs when the pass is worth one
+// (worth_a_team, the threshold the batched calls use); each slab is
+// itself a batched (count=n2, stride=n2, dist=1) call.
 void Fft3D::transform(Complex* x, bool inverse) const {
   const Index n0 = n_[0], n1 = n_[1], n2 = n_[2];
   const obs::Span span("fft.fft3d");
@@ -44,20 +43,19 @@ void Fft3D::transform(Complex* x, bool inverse) const {
     // Axis 1: within each i0 slab, n2 lines of stride n2 starting at
     // consecutive offsets.
     const obs::Span axis("fft.fft3d.axis1");
-    [[maybe_unused]] const bool par =
-#ifdef _OPENMP
-        omp_in_parallel() == 0 && n0 > 1;
-#else
-        false;
-#endif
-#pragma omp parallel for schedule(static) if (par)
-    for (Index i0 = 0; i0 < n0; ++i0) {
+    auto slab_pass = [&](Index i0) {
       Complex* slab = x + i0 * n1 * n2;
       if (inverse) {
         plan1_.inverse_many(slab, n2, /*stride=*/n2, /*dist=*/1);
       } else {
         plan1_.forward_many(slab, n2, /*stride=*/n2, /*dist=*/1);
       }
+    };
+    if (n0 > 1 && worth_a_team(n0 * n2, n1)) {
+#pragma omp parallel for schedule(static)
+      for (Index i0 = 0; i0 < n0; ++i0) slab_pass(i0);
+    } else {
+      for (Index i0 = 0; i0 < n0; ++i0) slab_pass(i0);
     }
   }
 
@@ -84,10 +82,13 @@ void Fft3D::forward(const Real* real_in, Complex* out) const {
 }
 
 void Fft3D::inverse_real(const Complex* in, Real* real_out) const {
-  const Index n = size();
-  std::vector<Complex> work(in, in + n);
+  // Grow-only per-thread copy: plans are shared between threads.
+  thread_local std::vector<Complex> work;
+  const auto n = static_cast<std::size_t>(size());
+  if (work.size() < n) work.resize(n);
+  std::copy(in, in + n, work.begin());
   inverse(work.data());
-  for (Index i = 0; i < n; ++i) real_out[i] = work[static_cast<std::size_t>(i)].real();
+  for (std::size_t i = 0; i < n; ++i) real_out[i] = work[i].real();
 }
 
 }  // namespace lrt::fft

@@ -1,6 +1,7 @@
 #include "fft/poisson.hpp"
 
 #include "common/error.hpp"
+#include "fft/real_columns.hpp"
 
 namespace lrt::fft {
 
@@ -10,26 +11,19 @@ PoissonSolver::PoissonSolver(Fft3D fft, std::vector<Real> g2)
             "g2 table size " << g2_.size() << " != grid size " << fft_.size());
 }
 
+Real PoissonSolver::kernel(Index i) const {
+  const Real g2 = g2_[static_cast<std::size_t>(i)];
+  return i > 0 && g2 > Real{0} ? constants::kFourPi / g2 : Real{0};
+}
+
 void PoissonSolver::apply_kernel_g(Complex* rho_g) const {
   const Index n = fft_.size();
-  rho_g[0] = Complex{0, 0};
-  for (Index i = 1; i < n; ++i) {
-    const Real g2 = g2_[static_cast<std::size_t>(i)];
-    if (g2 > Real{0}) {
-      rho_g[i] *= constants::kFourPi / g2;
-    } else {
-      rho_g[i] = Complex{0, 0};
-    }
-  }
+  for (Index i = 0; i < n; ++i) rho_g[i] *= kernel(i);
 }
 
 void PoissonSolver::solve(const Real* density, Real* potential) const {
-  const Index n = fft_.size();
-  std::vector<Complex> work(static_cast<std::size_t>(n));
-  fft_.forward(density, work.data());
-  apply_kernel_g(work.data());
-  fft_.inverse_real(work.data(), potential);
-  (void)n;
+  apply_real_multiplier(fft_, 1, density, 1, potential, 1,
+                        [this](Index g) { return kernel(g); });
 }
 
 Real PoissonSolver::energy(const Real* density, const Real* potential,

@@ -35,6 +35,9 @@ class PoissonSolver {
   Real energy(const Real* density, const Real* potential, Real dv) const;
 
  private:
+  /// The Hartree kernel at flat G index i: 4π/|G|², 0 at G = 0.
+  Real kernel(Index i) const;
+
   Fft3D fft_;
   std::vector<Real> g2_;
 };

@@ -9,6 +9,7 @@
 #include "dft/synthetic.hpp"
 #include "la/blas.hpp"
 #include "la/ortho.hpp"
+#include "obs/counters.hpp"
 
 namespace lrt::dft {
 namespace {
@@ -101,6 +102,138 @@ TEST(KsHamiltonian, PreconditionerDampsHighFrequencies) {
     high_norm += before(i, 1) * before(i, 1);
   }
   EXPECT_GT(low_ratio / low_norm, 3.0 * high_ratio / high_norm);
+}
+
+// ----- two real columns per complex transform ---------------------------
+
+/// Orthorhombic grid with odd and even sides: the -G map wraps differently
+/// on each axis and the even axes have Nyquist planes (G == -G).
+struct PairFixture {
+  grid::RealSpaceGrid g{grid::UnitCell({7.0, 6.0, 5.0}), {15, 12, 10}};
+  grid::GVectors gv{g};
+  KsHamiltonian h{g, gv};
+  std::vector<Real> veff;
+
+  PairFixture() {
+    Rng rng(3);
+    veff.resize(static_cast<std::size_t>(g.size()));
+    for (auto& x : veff) x = rng.normal();
+    h.set_potential(veff);
+  }
+
+  /// Column j filtered on its own: FFT(ψ_j + 0i), times f(G), IFFT, real.
+  template <class F>
+  la::RealMatrix per_column(const la::RealMatrix& x, F f) const {
+    const fft::Fft3D fft(15, 12, 10);
+    la::RealMatrix y(x.rows(), x.cols());
+    std::vector<fft::Complex> z(static_cast<std::size_t>(g.size()));
+    for (Index j = 0; j < x.cols(); ++j) {
+      for (Index i = 0; i < g.size(); ++i) {
+        z[static_cast<std::size_t>(i)] = fft::Complex(x(i, j), 0);
+      }
+      fft.forward(z.data());
+      for (Index i = 0; i < g.size(); ++i) {
+        z[static_cast<std::size_t>(i)] *= f(j, gv.g2(i));
+      }
+      fft.inverse(z.data());
+      for (Index i = 0; i < g.size(); ++i) {
+        y(i, j) = z[static_cast<std::size_t>(i)].real();
+      }
+    }
+    return y;
+  }
+};
+
+void expect_close(const la::RealMatrix& got, const la::RealMatrix& want) {
+  Real scale = 1, worst = 0;
+  for (Index i = 0; i < want.rows(); ++i) {
+    for (Index j = 0; j < want.cols(); ++j) {
+      scale = std::max(scale, std::abs(want(i, j)));
+      worst = std::max(worst, std::abs(got(i, j) - want(i, j)));
+    }
+  }
+  EXPECT_LE(worst, 1e-12 * scale);
+}
+
+TEST(KsHamiltonian, PairedApplyMatchesPerColumn) {
+  const PairFixture fx;
+  for (const Index k : {1, 5, 24}) {
+    Rng rng(static_cast<unsigned>(k));
+    const la::RealMatrix psi = la::RealMatrix::random_normal(fx.g.size(), k, rng);
+    la::RealMatrix got(fx.g.size(), k);
+    fx.h.apply(psi.view(), got.view());
+    la::RealMatrix want =
+        fx.per_column(psi, [](Index, Real g2) { return Real{0.5} * g2; });
+    for (Index i = 0; i < fx.g.size(); ++i) {
+      for (Index j = 0; j < k; ++j) {
+        want(i, j) += fx.veff[static_cast<std::size_t>(i)] * psi(i, j);
+      }
+    }
+    expect_close(got, want);
+  }
+}
+
+TEST(KsHamiltonian, PairedPreconditionMatchesPerColumn) {
+  const PairFixture fx;
+  for (const Index k : {1, 5, 24}) {
+    Rng rng(static_cast<unsigned>(k + 100));
+    la::RealMatrix r = la::RealMatrix::random_normal(fx.g.size(), k, rng);
+    // A different kinetic scale per column, one of them below the clamp.
+    std::vector<Real> ekin(static_cast<std::size_t>(k));
+    for (Index j = 0; j < k; ++j) {
+      ekin[static_cast<std::size_t>(j)] = j == 2 ? 1e-5 : 0.3 + 0.7 * j;
+    }
+    const la::RealMatrix want = fx.per_column(r, [&](Index j, Real g2) {
+      const Real x =
+          Real{0.5} * g2 / std::max(ekin[static_cast<std::size_t>(j)], 1e-3);
+      const Real num = 27 + 18 * x + 12 * x * x + 8 * x * x * x;
+      return num / (num + 16 * x * x * x * x);
+    });
+    fx.h.precondition(r.view(), ekin);
+    expect_close(r, want);
+  }
+}
+
+TEST(KsHamiltonian, WeightedKineticEnergyMatchesPerColumn) {
+  const PairFixture fx;
+  Rng rng(9);
+  la::RealMatrix psi = la::RealMatrix::random_normal(fx.g.size(), 6, rng);
+  const std::vector<Real> weights = {2.0, 0.0, 1.5, 0.25, 1e-3, 2.0};
+  Real want = 0;
+  std::vector<Real> column(static_cast<std::size_t>(fx.g.size()));
+  for (Index j = 0; j < 6; ++j) {
+    Real norm = 0;
+    for (Index i = 0; i < fx.g.size(); ++i) norm += psi(i, j) * psi(i, j);
+    for (Index i = 0; i < fx.g.size(); ++i) {
+      psi(i, j) /= std::sqrt(norm);
+      column[static_cast<std::size_t>(i)] = psi(i, j);
+    }
+    want += weights[static_cast<std::size_t>(j)] *
+            fx.h.kinetic_energy(column.data());
+  }
+  obs::Counter& calls = obs::counter("fft.fft3d.calls");
+  const long long before = calls.value();
+  const Real got = fx.h.kinetic_energy(psi.view(), weights);
+  // Five non-zero weights: two pairs and one single column.
+  EXPECT_EQ(calls.value() - before, 3);
+  EXPECT_NEAR(got, want, 1e-12 * want);
+}
+
+TEST(KsHamiltonian, ApplyMakesTwoTransformsPerColumnPair) {
+  const PairFixture fx;
+  obs::Counter& calls = obs::counter("fft.fft3d.calls");
+  for (const Index k : {1, 2, 5, 24}) {
+    Rng rng(static_cast<unsigned>(k));
+    la::RealMatrix psi = la::RealMatrix::random_normal(fx.g.size(), k, rng);
+    la::RealMatrix out(fx.g.size(), k);
+    const Index expected = 2 * ((k + 1) / 2);
+    long long before = calls.value();
+    fx.h.apply(psi.view(), out.view());
+    EXPECT_EQ(calls.value() - before, expected) << "apply, k=" << k;
+    before = calls.value();
+    fx.h.precondition(psi.view(), std::vector<Real>(static_cast<std::size_t>(k), 1.0));
+    EXPECT_EQ(calls.value() - before, expected) << "precondition, k=" << k;
+  }
 }
 
 TEST(Scf, Silicon8ConvergesWithGapAndNegativeEnergy) {

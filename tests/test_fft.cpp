@@ -1,5 +1,6 @@
 // FFT tests: delta/plane-wave closed forms, round trips, Parseval,
-// linearity, power-of-two and Bluestein paths, 3-D transforms.
+// linearity, accuracy against a naive DFT on the power-of-two, Stockham
+// mixed-radix and Bluestein paths, 3-D transforms.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -72,11 +73,65 @@ TEST_P(FftRoundTrip, InverseOfForwardIsIdentity) {
   }
 }
 
-// Mix of radix-2 sizes and Bluestein sizes, including the paper's
-// non-power-of-two grid dimensions 104 and 166.
+// Radix-2 sizes, Stockham sizes (smooth: factors 2, 3, 5, 7 only) and
+// Bluestein sizes (17, and the paper's grid dimensions 104 = 8·13 and
+// 166 = 2·83).
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values<Index>(1, 2, 4, 8, 64, 3, 5, 7, 12,
+                                                  6, 10, 14, 15, 18, 20, 24,
+                                                  28, 30, 36, 45, 60, 84, 120,
                                                   17, 104, 166, 1000));
+
+/// Relative l2 error of forward and inverse against an O(n²) DFT summed
+/// in long double.
+class FftNaiveDft : public ::testing::TestWithParam<Index> {};
+
+TEST_P(FftNaiveDft, MatchesNaiveDft) {
+  const Index n = GetParam();
+  lrt::Rng rng(static_cast<unsigned>(n + 11));
+  std::vector<Complex> x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
+  const Fft1D plan(n);
+  for (const int sign : {-1, +1}) {
+    std::vector<Complex> got = x;
+    if (sign < 0) {
+      plan.forward(got.data());
+    } else {
+      plan.inverse(got.data());
+    }
+    const long double pi = 3.141592653589793238462643383279502884L;
+    long double err2 = 0, ref2 = 0;
+    for (Index k = 0; k < n; ++k) {
+      long double re = 0, im = 0;
+      for (Index j = 0; j < n; ++j) {
+        const long double angle = sign * 2 * pi *
+                                  static_cast<long double>((j * k) % n) /
+                                  static_cast<long double>(n);
+        const long double c = std::cos(angle), s = std::sin(angle);
+        const Complex v = x[static_cast<std::size_t>(j)];
+        re += v.real() * c - v.imag() * s;
+        im += v.real() * s + v.imag() * c;
+      }
+      if (sign > 0) {
+        re /= n;
+        im /= n;
+      }
+      const Complex g = got[static_cast<std::size_t>(k)];
+      err2 += (g.real() - re) * (g.real() - re) + (g.imag() - im) * (g.imag() - im);
+      ref2 += re * re + im * im;
+    }
+    EXPECT_LT(std::sqrt(static_cast<double>(err2 / ref2)), 1e-13)
+        << "n=" << n << " sign=" << sign;
+  }
+}
+
+// Every Stockham radix (4, 2, 3, 5, 7) alone and mixed, odd powers of the
+// odd radices, plus radix-2 and Bluestein lengths for comparison.
+INSTANTIATE_TEST_SUITE_P(Sizes, FftNaiveDft,
+                         ::testing::Values<Index>(2, 4, 16, 3, 5, 7, 6, 9, 10,
+                                                  12, 14, 15, 21, 25, 35, 49,
+                                                  60, 84, 105, 120, 210, 343,
+                                                  17, 104, 166));
 
 TEST(Fft1D, ParsevalHolds) {
   const Index n = 60;

@@ -211,10 +211,14 @@ TEST_P(BatchedFftSweep, ForwardManyIsBitwisePerLine) {
   }
 }
 
-// Power-of-two radix-2 sizes and Bluestein sizes (12, 21, 104 is the
+// Power-of-two radix-2 sizes, Stockham mixed-radix sizes (12, 21 and the
+// smooth lengths after them) and Bluestein sizes (17, and 104 the
 // paper's grid flavor).
 INSTANTIATE_TEST_SUITE_P(Sizes, BatchedFftSweep,
-                         ::testing::Values<Index>(1, 2, 8, 64, 12, 21, 104));
+                         ::testing::Values<Index>(1, 2, 8, 64, 12, 21, 6, 10,
+                                                  14, 15, 18, 20, 24, 28, 30,
+                                                  36, 45, 60, 84, 120, 17,
+                                                  104));
 
 /// The pre-PR Fft3D::transform algorithm, kept verbatim as the bitwise
 /// reference: per-line scalar transforms with an element-by-element
@@ -271,7 +275,8 @@ TEST(Fft3DBatched, BitwiseMatchesOldPerLineAlgorithm) {
     Index n0, n1, n2;
   };
   for (const Shape s : {Shape{8, 8, 8}, Shape{4, 6, 5}, Shape{1, 8, 3},
-                        Shape{16, 1, 1}, Shape{12, 10, 21}}) {
+                        Shape{16, 1, 1}, Shape{12, 10, 21},
+                        Shape{12, 12, 12}, Shape{14, 14, 14}}) {
     const fft::Fft3D fft3(s.n0, s.n1, s.n2);
     const fft::Fft1D plan0(s.n0), plan1(s.n1), plan2(s.n2);
     const std::vector<fft::Complex> input = random_lines(
