@@ -1,4 +1,5 @@
-// Hot-kernel micro substrates: packed GEMM, batched 3-D FFT, pruned
+// Hot-kernel micro substrates: packed GEMM, batched 3-D FFT, the dense
+// small kernels (right-side triangular solve, syev, sygv), pruned
 // K-Means — seconds, GFLOP/s, and bytes/point per kernel, emitted as
 // BENCH_micro.json (schema lrt.bench/1).
 //
@@ -28,6 +29,9 @@
 #include "fft/fft3d.hpp"
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
+#include "la/cholesky.hpp"
+#include "la/eig.hpp"
+#include "la/qr.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/counters.hpp"
 
@@ -279,6 +283,70 @@ void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
   set_threads(1);
 }
 
+// ----- dense small kernels ---------------------------------------------------
+
+void bench_dense(const Options& opt, Table& table, obs::BenchReport& report) {
+  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
+  set_threads(1);
+  auto emit = [&](const std::string& label, const char* kernel, Index m,
+                  Index n, double seconds, double flops) {
+    table.row()
+        .cell(label)
+        .cell(Index{1})
+        .cell(seconds, 5)
+        .cell(flops > 0 ? format_real(flops / seconds / 1e9, 2) : "-")
+        .cell("-")
+        .cell("-");
+    obs::BenchReport::Record& rec = report.record(label);
+    rec.param("kernel", kernel)
+        .param("path", "new")
+        .param("m", static_cast<long long>(m))
+        .param("n", static_cast<long long>(n))
+        .param("threads", 1LL)
+        .metric("seconds_best", seconds);
+    if (flops > 0) rec.metric("gflops", flops / seconds / 1e9);
+  };
+  auto spd = [](Index n, Rng& rng) {
+    const la::RealMatrix x = la::RealMatrix::random_uniform(2 * n, n, rng);
+    la::RealMatrix g = la::gram(x.view());
+    for (Index i = 0; i < n; ++i) g(i, i) += 1.0;
+    return g;
+  };
+
+  // The ISDF Θ fit X (C Cᵀ) = Z Cᵀ: Nμ = 432 against the Si64* analog's
+  // Nr = 4096 grid points (smoke: one rank's 1024 of them at 4 ranks).
+  {
+    const Index n = 432;
+    const Index m = opt.smoke ? 1024 : 4096;
+    Rng rng(13);
+    const la::RealMatrix l = la::cholesky(spd(n, rng).view());
+    const la::RealMatrix b = la::RealMatrix::random_uniform(m, n, rng);
+    la::RealMatrix x(m, n);
+    const double sec = best_of(reps, [&] {
+      la::copy<Real>(b.view(), x.view());
+      la::solve_right(l.view(), x.view(), la::RightSolve::kCholesky);
+    });
+    emit("la.trsm.right", "trsm_right", m, n, sec,
+         2.0 * static_cast<double>(m) * static_cast<double>(n) *
+             static_cast<double>(n));
+  }
+  // The Rayleigh-Ritz eigenproblems of a 24-band LOBPCG ([X R P]).
+  {
+    const Index n = 72;
+    Rng rng(17);
+    la::RealMatrix a = la::RealMatrix::random_uniform(n, n, rng);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < i; ++j) a(j, i) = a(i, j);
+    }
+    const la::RealMatrix b = spd(n, rng);
+    la::EigResult sink;
+    emit("la.syev.72", "syev", n, n,
+         best_of(reps, [&] { sink = la::syev(a.view()); }), 0);
+    emit("la.sygv.72", "sygv", n, n,
+         best_of(reps, [&] { sink = la::sygv(a.view(), b.view()); }), 0);
+  }
+}
+
 // ----- K-Means -------------------------------------------------------------
 
 int bench_kmeans(const Options& opt, Table& table, obs::BenchReport& report) {
@@ -399,6 +467,7 @@ int main(int argc, char** argv) {
                "speedup"});
   bench_gemm(opt, table, report);
   bench_fft(opt, table, report);
+  bench_dense(opt, table, report);
   // K-Means always compares (the exact path is its reference by
   // definition) and doubles as an exactness assertion.
   if (bench_kmeans(opt, table, report) != 0) return 1;

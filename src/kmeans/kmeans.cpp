@@ -9,6 +9,10 @@
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace lrt::kmeans {
 namespace {
 
@@ -20,6 +24,22 @@ namespace {
 // the exact scan (including first-lowest-index tie-breaking).
 constexpr Real kPruneSlackUp = Real{1} + Real{1e-9};
 constexpr Real kPruneSlackDown = Real{1} - Real{1e-9};
+
+int max_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+int thread_id() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
 
 Real squared_distance(const grid::Vec3& a, const grid::Vec3& b,
                       const grid::UnitCell* cell) {
@@ -214,6 +234,7 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
   static obs::Counter& full_counter = obs::counter("kmeans.assign.full");
   static obs::Counter& skip_counter = obs::counter("kmeans.assign.skipped");
 
+  std::vector<Real> thread_objective(static_cast<std::size_t>(max_threads()));
   const obs::Span lloyd_span("kmeans.lloyd");
   Real previous_objective = restored_objective;
   for (Index iter = start_iter; iter < options.max_iterations; ++iter) {
@@ -242,52 +263,62 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     }
 
     // Assignment step (paper: "the classification step ... can be locally
-    // computed for each group of grid points").
-    Real objective = 0;
+    // computed for each group of grid points"). Each thread sums its
+    // static chunk's objective terms into its own slot and the slots are
+    // added in thread order: a reduction(+) clause would combine the
+    // partials in completion order and move the last bits between runs.
+    std::fill(thread_objective.begin(), thread_objective.end(), Real{0});
     long long full_scans = 0;
     long long skips = 0;
-#pragma omp parallel for schedule(static) \
-    reduction(+ : objective, full_scans, skips)
-    for (Index i = 0; i < nkept; ++i) {
-      const Index p = kept[static_cast<std::size_t>(i)];
-      const grid::Vec3& r = points[static_cast<std::size_t>(p)];
-      if (prune) {
-        const Index a = result.assignment[static_cast<std::size_t>(i)];
-        const Real drift = (a == move_arg) ? move2 : move1;
-        const Real bound = lb[static_cast<std::size_t>(i)] - drift;
-        if (bound > 0) {
-          const Real d2a = squared_distance(
-              r, result.centroids[static_cast<std::size_t>(a)], cell);
-          if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
-            // Every other center is strictly farther than the assigned
-            // one, so the full scan would reproduce assignment `a` and
-            // the identical objective term w * d2a.
-            lb[static_cast<std::size_t>(i)] = bound;
-            objective += weights[static_cast<std::size_t>(p)] * d2a;
-            ++skips;
-            continue;
+#pragma omp parallel reduction(+ : full_scans, skips)
+    {
+      Real objective = 0;
+#pragma omp for schedule(static)
+      for (Index i = 0; i < nkept; ++i) {
+        const Index p = kept[static_cast<std::size_t>(i)];
+        const grid::Vec3& r = points[static_cast<std::size_t>(p)];
+        if (prune) {
+          const Index a = result.assignment[static_cast<std::size_t>(i)];
+          const Real drift = (a == move_arg) ? move2 : move1;
+          const Real bound = lb[static_cast<std::size_t>(i)] - drift;
+          if (bound > 0) {
+            const Real d2a = squared_distance(
+                r, result.centroids[static_cast<std::size_t>(a)], cell);
+            if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
+              // Every other center is strictly farther than the assigned
+              // one, so the full scan would reproduce assignment `a` and
+              // the identical objective term w * d2a.
+              lb[static_cast<std::size_t>(i)] = bound;
+              objective += weights[static_cast<std::size_t>(p)] * d2a;
+              ++skips;
+              continue;
+            }
           }
         }
-      }
-      Real best = std::numeric_limits<Real>::max();
-      Real second = std::numeric_limits<Real>::max();
-      Index best_c = 0;
-      for (Index c = 0; c < k; ++c) {
-        const Real d = squared_distance(
-            r, result.centroids[static_cast<std::size_t>(c)], cell);
-        if (d < best) {
-          second = best;
-          best = d;
-          best_c = c;
-        } else if (d < second) {
-          second = d;
+        Real best = std::numeric_limits<Real>::max();
+        Real second = std::numeric_limits<Real>::max();
+        Index best_c = 0;
+        for (Index c = 0; c < k; ++c) {
+          const Real d = squared_distance(
+              r, result.centroids[static_cast<std::size_t>(c)], cell);
+          if (d < best) {
+            second = best;
+            best = d;
+            best_c = c;
+          } else if (d < second) {
+            second = d;
+          }
         }
+        result.assignment[static_cast<std::size_t>(i)] = best_c;
+        objective += weights[static_cast<std::size_t>(p)] * best;
+        ++full_scans;
+        if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
       }
-      result.assignment[static_cast<std::size_t>(i)] = best_c;
-      objective += weights[static_cast<std::size_t>(p)] * best;
-      ++full_scans;
-      if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
+      const auto slot = static_cast<std::size_t>(thread_id());
+      thread_objective[slot] = objective;
     }
+    Real objective = 0;
+    for (const Real part : thread_objective) objective += part;
     result.objective = objective;
     full_counter.add(full_scans);
     skip_counter.add(skips);

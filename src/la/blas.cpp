@@ -133,8 +133,9 @@ void pack_b_panel(RealConstView b, bool trans, Index p0, Index kcur, Index j0,
 __attribute__((target_clones("avx512f", "avx2,fma", "default")))
 #endif
 #endif
-void micro_kernel(Index kcur, const Real* ap, const Real* bp,
-                  Real* acc /* kMr * kNr */) {
+void micro_kernel(Index kcur, const Real* __restrict ap,
+                  const Real* __restrict bp,
+                  Real* __restrict acc /* kMr * kNr */) {
   for (Index p = 0; p < kcur; ++p) {
     const Real a0 = ap[0];
     const Real a1 = ap[1];
@@ -157,8 +158,54 @@ void micro_kernel(Index kcur, const Real* ap, const Real* bp,
   }
 }
 
+/// One (jc, pc) block step for rows [ic, ic + mcur) of C: packs those
+/// rows of alpha * op(A) and adds their product with the npanels packed B
+/// panels at `bpack` (columns from jc) into C. With `lower_only`, micro-
+/// tiles lying entirely above C's diagonal are skipped.
+void multiply_block(RealConstView a, bool ta, Real alpha, Index ic,
+                    Index mcur, Index pc, Index kcur, const Real* bpack,
+                    Index jc, Index npanels, RealView c, Real* apack,
+                    bool lower_only) {
+  const Index m = c.rows(), n = c.cols();
+  const Index mpanels = (mcur + kMr - 1) / kMr;
+  for (Index ip = 0; ip < mpanels; ++ip) {
+    const Index i0 = ic + ip * kMr;
+    pack_a_panel(a, ta, i0, std::min(kMr, m - i0), pc, kcur, alpha,
+                 apack + ip * kcur * kMr);
+  }
+  for (Index jp = 0; jp < npanels; ++jp) {
+    const Real* bpan = bpack + jp * kcur * kNr;
+    const Index j0 = jc + jp * kNr;
+    const Index nr = std::min(kNr, n - j0);
+    for (Index ip = 0; ip < mpanels; ++ip) {
+      const Index i0 = ic + ip * kMr;
+      const Index mr = std::min(kMr, m - i0);
+      if (lower_only && i0 + mr <= j0) continue;
+      Real acc[kMr * kNr] = {};
+      micro_kernel(kcur, apack + ip * kcur * kMr, bpan, acc);
+      if (mr == kMr && nr == kNr) {
+        for (Index i = 0; i < kMr; ++i) {
+          Real* ci = c.row_ptr(i0 + i) + j0;
+          const Real* ai = acc + i * kNr;
+#pragma omp simd
+          for (Index j = 0; j < kNr; ++j) ci[j] += ai[j];
+        }
+      } else {
+        for (Index i = 0; i < mr; ++i) {
+          Real* ci = c.row_ptr(i0 + i) + j0;
+          const Real* ai = acc + i * kNr;
+          for (Index j = 0; j < nr; ++j) ci[j] += ai[j];
+        }
+      }
+    }
+  }
+}
+
+/// C += alpha * op(A) op(B) through the packed micro-kernel. With
+/// `lower_only` (square C), only micro-tiles that touch C's lower
+/// triangle are computed; the strict upper triangle is left partial.
 void gemm_packed(bool ta, bool tb, Real alpha, RealConstView a,
-                 RealConstView b, RealView c) {
+                 RealConstView b, RealView c, bool lower_only = false) {
   const Index m = c.rows(), n = c.cols();
   const Index k = ta ? a.rows() : a.cols();
   const Blocking& blk = blocking();
@@ -188,38 +235,9 @@ void gemm_packed(bool ta, bool tb, Real alpha, RealConstView a,
         }
 #pragma omp for schedule(dynamic)
         for (Index ic = 0; ic < m; ic += blk.mc) {
-          const Index mcur = std::min(blk.mc, m - ic);
-          const Index mpanels = (mcur + kMr - 1) / kMr;
-          for (Index ip = 0; ip < mpanels; ++ip) {
-            const Index i0 = ic + ip * kMr;
-            pack_a_panel(a, ta, i0, std::min(kMr, m - i0), pc, kcur, alpha,
-                         apack.data() + ip * kcur * kMr);
-          }
-          for (Index jp = 0; jp < npanels; ++jp) {
-            const Real* bpan = bpack.data() + jp * kcur * kNr;
-            const Index j0 = jc + jp * kNr;
-            const Index nr = std::min(kNr, n - j0);
-            for (Index ip = 0; ip < mpanels; ++ip) {
-              const Index i0 = ic + ip * kMr;
-              const Index mr = std::min(kMr, m - i0);
-              Real acc[kMr * kNr] = {};
-              micro_kernel(kcur, apack.data() + ip * kcur * kMr, bpan, acc);
-              if (mr == kMr && nr == kNr) {
-                for (Index i = 0; i < kMr; ++i) {
-                  Real* ci = c.row_ptr(i0 + i) + j0;
-                  const Real* ai = acc + i * kNr;
-#pragma omp simd
-                  for (Index j = 0; j < kNr; ++j) ci[j] += ai[j];
-                }
-              } else {
-                for (Index i = 0; i < mr; ++i) {
-                  Real* ci = c.row_ptr(i0 + i) + j0;
-                  const Real* ai = acc + i * kNr;
-                  for (Index j = 0; j < nr; ++j) ci[j] += ai[j];
-                }
-              }
-            }
-          }
+          multiply_block(a, ta, alpha, ic, std::min(blk.mc, m - ic), pc, kcur,
+                         bpack.data(), jc, npanels, c, apack.data(),
+                         lower_only);
         }
       }
     }
@@ -362,6 +380,23 @@ void check_gemm_shapes(Trans ta, Trans tb, RealConstView a, RealConstView b,
   k = ka;
 }
 
+/// Bills one gemm of these shapes to the la.gemm.* counters and returns
+/// whether it takes the packed path. No span here — gemm is called far
+/// too often for per-call trace events; the FLOP counter gives the
+/// aggregate view instead.
+bool count_gemm(Index m, Index n, Index k) {
+  static obs::Counter& calls = obs::counter("la.gemm.calls");
+  static obs::Counter& flops = obs::counter("la.gemm.flops");
+  static obs::Counter& packed = obs::counter("la.gemm.packed_calls");
+  static obs::Counter& fallback = obs::counter("la.gemm.fallback_calls");
+  calls.add(1);
+  flops.add(2ll * m * n * k);
+  const bool use_packed =
+      2.0 * double(m) * double(n) * double(k) >= kPackedFlopThreshold;
+  (use_packed ? packed : fallback).add(1);
+  return use_packed;
+}
+
 void scale_c(Real beta, RealView c) {
   if (beta == Real{0}) {
     c.fill(Real{0});
@@ -414,21 +449,10 @@ void gemm(Trans ta, Trans tb, Real alpha, RealConstView a, RealConstView b,
   scale_c(beta, c);
   if (m == 0 || n == 0 || k == 0 || alpha == Real{0}) return;
 
-  // No span here — gemm is called far too often for per-call trace
-  // events; the FLOP counter gives the aggregate view instead.
-  static obs::Counter& calls = obs::counter("la.gemm.calls");
-  static obs::Counter& flops = obs::counter("la.gemm.flops");
-  calls.add(1);
-  flops.add(2ll * m * n * k);
-
-  if (2.0 * double(m) * double(n) * double(k) >= kPackedFlopThreshold) {
-    static obs::Counter& packed = obs::counter("la.gemm.packed_calls");
-    packed.add(1);
+  if (count_gemm(m, n, k)) {
     gemm_packed(ta == Trans::kYes, tb == Trans::kYes, alpha, a, b, c);
     return;
   }
-  static obs::Counter& fallback = obs::counter("la.gemm.fallback_calls");
-  fallback.add(1);
   if (ta == Trans::kNo && tb == Trans::kNo) {
     gemm_small_nn(alpha, a, b, c);
   } else if (ta == Trans::kYes && tb == Trans::kNo) {
@@ -512,40 +536,11 @@ void gemm_many(Trans ta, Trans tb, Real alpha,
 #pragma omp for schedule(dynamic)
         for (std::size_t t = 0; t < tasks.size(); ++t) {
           const GemmBatchItem& item = items[tasks[t].item];
-          const Index m = item.c.rows();
           const Index ic = tasks[t].ic;
-          const Index mcur = std::min(blk.mc, m - ic);
-          const Index mpanels = (mcur + kMr - 1) / kMr;
-          for (Index ip = 0; ip < mpanels; ++ip) {
-            const Index i0 = ic + ip * kMr;
-            pack_a_panel(item.a, tab, i0, std::min(kMr, m - i0), pc, kcur,
-                         alpha, apack.data() + ip * kcur * kMr);
-          }
-          for (Index jp = 0; jp < npanels; ++jp) {
-            const Real* bpan = bpack.data() + jp * kcur * kNr;
-            const Index j0 = jc + jp * kNr;
-            const Index nr = std::min(kNr, n - j0);
-            for (Index ip = 0; ip < mpanels; ++ip) {
-              const Index i0 = ic + ip * kMr;
-              const Index mr = std::min(kMr, m - i0);
-              Real acc[kMr * kNr] = {};
-              micro_kernel(kcur, apack.data() + ip * kcur * kMr, bpan, acc);
-              if (mr == kMr && nr == kNr) {
-                for (Index i = 0; i < kMr; ++i) {
-                  Real* ci = item.c.row_ptr(i0 + i) + j0;
-                  const Real* ai = acc + i * kNr;
-#pragma omp simd
-                  for (Index j = 0; j < kNr; ++j) ci[j] += ai[j];
-                }
-              } else {
-                for (Index i = 0; i < mr; ++i) {
-                  Real* ci = item.c.row_ptr(i0 + i) + j0;
-                  const Real* ai = acc + i * kNr;
-                  for (Index j = 0; j < nr; ++j) ci[j] += ai[j];
-                }
-              }
-            }
-          }
+          multiply_block(item.a, tab, alpha, ic,
+                         std::min(blk.mc, item.c.rows() - ic), pc, kcur,
+                         bpack.data(), jc, npanels, item.c, apack.data(),
+                         false);
         }
       }
     }
@@ -579,16 +574,30 @@ RealMatrix gemm(Trans ta, Trans tb, RealConstView a, RealConstView b) {
 }
 
 RealMatrix gram(RealConstView a) {
-  const Index n = a.cols();
+  const Index m = a.rows(), n = a.cols();
   RealMatrix g(n, n);
-  gemm(Trans::kYes, Trans::kNo, Real{1}, a, a, Real{0}, g.view());
-  // Symmetrize to kill roundoff asymmetry from the blocked kernel.
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i + 1; j < n; ++j) {
-      const Real avg = 0.5 * (g(i, j) + g(j, i));
-      g(i, j) = avg;
-      g(j, i) = avg;
+  if (m == 0 || n == 0) return g;
+  // Billed as the full Aᵀ A gemm it replaces, although only the tiles
+  // touching the lower triangle are computed.
+  if (count_gemm(n, n, m)) {
+    gemm_packed(true, false, Real{1}, a, a, g.view(), /*lower_only=*/true);
+  } else {
+    // gemm_small_tn restricted to j <= i.
+    for (Index kk = 0; kk < m; ++kk) {
+      const Real* ak = a.row_ptr(kk);
+      for (Index i = 0; i < n; ++i) {
+        const Real aki = ak[i];
+        Real* gi = g.row_ptr(i);
+#pragma omp simd
+        for (Index j = 0; j <= i; ++j) gi[j] += aki * ak[j];
+      }
     }
+  }
+  // Both kernels form g(i, j) and g(j, i) from the same products in the
+  // same order, so the full product is already exactly symmetric and the
+  // mirror equals it bit for bit.
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i + 1; j < n; ++j) g(i, j) = g(j, i);
   }
   return g;
 }

@@ -67,7 +67,10 @@ void gemm_many(Trans ta, Trans tb, Real alpha,
                const std::vector<GemmBatchItem>& items, RealConstView b,
                Real beta);
 
-/// Gram matrix Aᵀ A (n x n for an m x n input); exploits symmetry.
+/// Gram matrix Aᵀ A (n x n for an m x n input). Computes only the tiles
+/// that touch the lower triangle and mirrors them; the result is exactly
+/// symmetric and bit for bit gemm(kYes, kNo, A, A), which the kernels
+/// already make symmetric. Billed to la.gemm.* as that full gemm.
 RealMatrix gram(RealConstView a);
 
 // ----- norms / comparisons -------------------------------------------------

@@ -11,13 +11,31 @@
 namespace lrt::la {
 namespace {
 
+/// (x, y) := (c x - s y, s x + c y), elementwise over n entries.
+void rotate_rows(Real* __restrict x, Real* __restrict y, Real c, Real s,
+                 Index n) {
+#pragma omp simd
+  for (Index k = 0; k < n; ++k) {
+    const Real h = y[k];
+    y[k] = s * x[k] + c * h;
+    x[k] = c * x[k] - s * h;
+  }
+}
+
 // Householder reduction of a real symmetric matrix to tridiagonal form
 // with accumulated transformations. Ported from the Algol tred2 procedure
 // (Bowdler, Martin, Reinsch, Wilkinson; Handbook for Automatic Computation)
 // in its widely used C translation. On exit `v` holds the accumulated
 // orthogonal matrix, `d` the diagonal and `e` the subdiagonal (e[0] = 0).
+//
+// The loops are reordered to walk rows of `v`: the symmetric product and
+// the rank-2 update sweep row k of the lower triangle, and the
+// accumulation runs the independent column reductions g[j] side by side.
+// Every element still sees the textbook's operations in its order (sums
+// over k ascending), so the result is bit for bit the column-oriented one.
 void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
   const Index n = v.rows();
+  std::vector<Real> g(static_cast<std::size_t>(n));
   for (Index j = 0; j < n; ++j) d[j] = v(n - 1, j);
 
   for (Index i = n - 1; i > 0; --i) {
@@ -37,22 +55,23 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
         h += d[k] * d[k];
       }
       Real f = d[i - 1];
-      Real g = std::sqrt(h);
-      if (f > 0) g = -g;
-      e[i] = scale * g;
-      h -= f * g;
-      d[i - 1] = f - g;
-      for (Index j = 0; j < i; ++j) e[j] = 0.0;
+      const Real gi = f > 0 ? -std::sqrt(h) : std::sqrt(h);
+      e[i] = scale * gi;
+      h -= f * gi;
+      d[i - 1] = f - gi;
 
-      for (Index j = 0; j < i; ++j) {
-        f = d[j];
-        v(j, i) = f;
-        g = e[j] + v(j, j) * f;
-        for (Index k = j + 1; k <= i - 1; ++k) {
-          g += v(k, j) * d[k];
-          e[k] += v(k, j) * f;
-        }
-        e[j] = g;
+      // e := A d over the stored lower triangle, one row at a time: row k
+      // finishes e[k] (its j < k part, then the diagonal) and adds its
+      // j < k entries into e[j], which is e[j]'s next term in k order.
+      for (Index k = 0; k < i; ++k) {
+        v(k, i) = d[k];
+        const Real* vk = v.row_ptr(k);
+        Real sum = 0.0;
+        for (Index j = 0; j < k; ++j) sum += vk[j] * d[j];
+        e[k] = sum + vk[k] * d[k];
+        const Real dk = d[k];
+#pragma omp simd
+        for (Index j = 0; j < k; ++j) e[j] += vk[j] * dk;
       }
       f = 0.0;
       for (Index j = 0; j < i; ++j) {
@@ -61,12 +80,14 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
       }
       const Real hh = f / (h + h);
       for (Index j = 0; j < i; ++j) e[j] -= hh * d[j];
+      for (Index k = 0; k < i; ++k) {
+        Real* vk = v.row_ptr(k);
+        const Real ek = e[k];
+        const Real dk = d[k];
+#pragma omp simd
+        for (Index j = 0; j <= k; ++j) vk[j] -= (d[j] * ek + e[j] * dk);
+      }
       for (Index j = 0; j < i; ++j) {
-        f = d[j];
-        g = e[j];
-        for (Index k = j; k <= i - 1; ++k) {
-          v(k, j) -= (f * e[k] + g * d[k]);
-        }
         d[j] = v(i - 1, j);
         v(i, j) = 0.0;
       }
@@ -81,10 +102,19 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     const Real h = d[i + 1];
     if (h != 0.0) {
       for (Index k = 0; k <= i; ++k) d[k] = v(k, i + 1) / h;
-      for (Index j = 0; j <= i; ++j) {
-        Real g = 0.0;
-        for (Index k = 0; k <= i; ++k) g += v(k, i + 1) * v(k, j);
-        for (Index k = 0; k <= i; ++k) v(k, j) -= g * d[k];
+      // g[j] = sum_k v(k, i+1) v(k, j) for every j <= i at once.
+      std::fill(g.begin(), g.begin() + (i + 1), Real{0});
+      for (Index k = 0; k <= i; ++k) {
+        const Real* vk = v.row_ptr(k);
+        const Real u = vk[i + 1];
+#pragma omp simd
+        for (Index j = 0; j <= i; ++j) g[j] += u * vk[j];
+      }
+      for (Index k = 0; k <= i; ++k) {
+        Real* vk = v.row_ptr(k);
+        const Real dk = d[k];
+#pragma omp simd
+        for (Index j = 0; j <= i; ++j) vk[j] -= g[j] * dk;
       }
     }
     for (Index k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
@@ -97,10 +127,11 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
   e[0] = 0.0;
 }
 
-// Implicit-shift QL iteration on the tridiagonal (d, e) with eigenvector
-// accumulation into v. Ported from the Algol tql2 procedure.
-void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
-  const Index n = v.rows();
+// Implicit-shift QL iteration on the tridiagonal (d, e), ported from the
+// Algol tql2 procedure. `w` holds the eigenvectors as rows (w = vᵀ), so
+// each plane rotation and the final sort move contiguous rows.
+void tql2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
+  const Index n = w.rows();
   for (Index i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -152,11 +183,7 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
           c = p / r;
           p = c * d[i] - s * g;
           d[i + 1] = h + s * (c * g + s * d[i]);
-          for (Index k = 0; k < n; ++k) {
-            h = v(k, i + 1);
-            v(k, i + 1) = s * v(k, i) + c * h;
-            v(k, i) = c * v(k, i) - s * h;
-          }
+          rotate_rows(w.row_ptr(i), w.row_ptr(i + 1), c, s, n);
         }
         p = -s * s2 * c3 * el1 * e[l] / dl1;
         e[l] = s * p;
@@ -167,7 +194,7 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     e[l] = 0.0;
   }
 
-  // Sort eigenvalues ascending, permuting eigenvector columns alongside.
+  // Sort eigenvalues ascending, permuting eigenvector rows alongside.
   for (Index i = 0; i < n - 1; ++i) {
     Index k = i;
     Real p = d[i];
@@ -180,7 +207,7 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     if (k != i) {
       d[k] = d[i];
       d[i] = p;
-      for (Index j = 0; j < n; ++j) std::swap(v(j, i), v(j, k));
+      std::swap_ranges(w.row_ptr(i), w.row_ptr(i) + n, w.row_ptr(k));
     }
   }
 }
@@ -213,7 +240,9 @@ EigResult syev(RealConstView a) {
   }
   std::vector<Real> e(static_cast<std::size_t>(n), Real{0});
   tred2(result.vectors, result.values, e);
-  tql2(result.vectors, result.values, e);
+  RealMatrix w = transpose<Real>(result.vectors.view());
+  tql2(w, result.values, e);
+  result.vectors = transpose<Real>(w.view());
   return result;
 }
 
@@ -226,13 +255,9 @@ EigResult sygv(RealConstView a, RealConstView b) {
   // B = L Lᵀ, solve (L⁻¹ A L⁻ᵀ) y = λ y, then x = L⁻ᵀ y.
   const RealMatrix l = cholesky(b);
   RealMatrix atilde = symmetrized_copy(a);
-  // atilde := L⁻¹ atilde
+  // atilde := L⁻¹ atilde L⁻ᵀ
   solve_lower_triangular(l.view(), atilde.view());
-  // atilde := atilde L⁻ᵀ, i.e. solve (L Xᵀ = atildeᵀ)ᵀ: transpose, solve,
-  // transpose back.
-  RealMatrix at = transpose<Real>(atilde.view());
-  solve_lower_triangular(l.view(), at.view());
-  atilde = transpose<Real>(at.view());
+  solve_right(l.view(), atilde.view(), RightSolve::kLowerTransposed);
 
   EigResult result = syev(atilde.view());
   // Back-transform eigenvectors: x = L⁻ᵀ y.

@@ -37,10 +37,10 @@ RealMatrix solve_gram_from_right(RealConstView b, RealConstView gram_matrix,
     for (Index i = 0; i < n; ++i) g(i, i) += shift;
     l = cholesky(g.view());
   }
-  // X G = B  =>  G Xᵀ = Bᵀ (G symmetric), solve and transpose back.
-  RealMatrix xt = transpose(b);
-  cholesky_solve(l.view(), xt.view());
-  return transpose<Real>(xt.view());
+  // X G = B with G = L Lᵀ  =>  X = B L⁻ᵀ L⁻¹.
+  RealMatrix x = to_matrix(b);
+  solve_right(l.view(), x.view(), RightSolve::kCholesky);
+  return x;
 }
 
 }  // namespace lrt::la

@@ -13,12 +13,7 @@ bool cholqr(RealView a) {
     ortho_qr(a);
     return false;
   }
-  // a := a L⁻ᵀ  (solve Lᵀ row-wise from the right: for each row r of a,
-  // solve L x = rᵀ? No — columns: a L⁻ᵀ means aᵀ := L⁻¹ aᵀ).
-  RealMatrix at = transpose<Real>(a);
-  solve_lower_triangular(l.view(), at.view());
-  const RealMatrix result = transpose<Real>(at.view());
-  copy(result.view(), a);
+  solve_right(l.view(), a, RightSolve::kLowerTransposed);  // a := a L⁻ᵀ
   return true;
 }
 

@@ -1,6 +1,8 @@
 #include "la/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/blas.hpp"
 
@@ -38,6 +40,41 @@ void apply_reflector_to_block(RealView a, Index col, Real tau, Index c0,
     a(col, j) -= w;
     for (Index i = col + 1; i < m; ++i) a(i, j) -= w * a(i, col);
   }
+}
+
+void divide_row(Real* bi, Real d, Index k) {
+#pragma omp simd
+  for (Index j = 0; j < k; ++j) bi[j] /= d;
+}
+
+/// Rows of a that solve_right substitutes together, one per SIMD lane:
+/// enough independent subtract chains to hide their latency.
+constexpr Index kRightLanes = 16;
+
+/// One substitution step on a transposed tile: lane row `ti` becomes
+/// (ti - sum_p coef[p] * row p of `rows`) / d, p ascending over
+/// [p0, p1), which must not include ti's own row. `ti` is restrict, so
+/// its lanes stay in registers across the p loop. The avx2 clone has no
+/// FMA, so nothing contracts `ti - c * tp` and the result matches the
+/// scalar substitution bit for bit (an avx512f clone would contract).
+/// No clones under TSan, for the reason given at micro_kernel in blas.cpp.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target_clones)
+__attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+void substitute_lanes(Real* __restrict ti, const Real* __restrict rows,
+                      const Real* __restrict coef, Index p0, Index p1,
+                      Real d) {
+  for (Index p = p0; p < p1; ++p) {
+    const Real c = coef[p];
+    const Real* tp = rows + p * kRightLanes;
+#pragma omp simd
+    for (Index t = 0; t < kRightLanes; ++t) ti[t] -= c * tp[t];
+  }
+#pragma omp simd
+  for (Index t = 0; t < kRightLanes; ++t) ti[t] /= d;
 }
 
 }  // namespace
@@ -140,11 +177,9 @@ void solve_upper_triangular(RealConstView r, RealView b) {
   for (Index i = n - 1; i >= 0; --i) {
     const Real rii = r(i, i);
     LRT_CHECK(std::abs(rii) > Real{0}, "singular triangular factor at " << i);
-    for (Index j = 0; j < k; ++j) {
-      Real sum = b(i, j);
-      for (Index l = i + 1; l < n; ++l) sum -= r(i, l) * b(l, j);
-      b(i, j) = sum / rii;
-    }
+    Real* bi = b.row_ptr(i);
+    for (Index p = i + 1; p < n; ++p) axpy(-r(i, p), b.row_ptr(p), bi, k);
+    divide_row(bi, rii, k);
   }
 }
 
@@ -155,11 +190,9 @@ void solve_lower_triangular(RealConstView l, RealView b) {
   for (Index i = 0; i < n; ++i) {
     const Real lii = l(i, i);
     LRT_CHECK(std::abs(lii) > Real{0}, "singular triangular factor at " << i);
-    for (Index j = 0; j < k; ++j) {
-      Real sum = b(i, j);
-      for (Index p = 0; p < i; ++p) sum -= l(i, p) * b(p, j);
-      b(i, j) = sum / lii;
-    }
+    Real* bi = b.row_ptr(i);
+    for (Index p = 0; p < i; ++p) axpy(-l(i, p), b.row_ptr(p), bi, k);
+    divide_row(bi, lii, k);
   }
 }
 
@@ -170,10 +203,50 @@ void solve_lower_transposed(RealConstView l, RealView b) {
   for (Index i = n - 1; i >= 0; --i) {
     const Real lii = l(i, i);
     LRT_CHECK(std::abs(lii) > Real{0}, "singular triangular factor at " << i);
-    for (Index j = 0; j < k; ++j) {
-      Real sum = b(i, j);
-      for (Index p = i + 1; p < n; ++p) sum -= l(p, i) * b(p, j);
-      b(i, j) = sum / lii;
+    Real* bi = b.row_ptr(i);
+    for (Index p = i + 1; p < n; ++p) axpy(-l(p, i), b.row_ptr(p), bi, k);
+    divide_row(bi, lii, k);
+  }
+}
+
+void solve_right(RealConstView l, RealView a, RightSolve what) {
+  const Index n = l.cols();
+  LRT_CHECK(l.rows() >= n && a.cols() == n, "shape mismatch");
+  for (Index i = 0; i < n; ++i) {
+    LRT_CHECK(std::abs(l(i, i)) > Real{0},
+              "singular triangular factor at " << i);
+  }
+  const Index m = a.rows();
+  if (m == 0 || n == 0) return;
+  const bool backward = what == RightSolve::kCholesky;
+  // The backward sweep reads L by columns; one transposed copy makes those
+  // reads contiguous too.
+  const RealMatrix lt = backward ? transpose(l) : RealMatrix();
+  // The tile holds rows [r0, r0 + kRightLanes) of a transposed: entry
+  // (c, t) is a(r0 + t, c), so each substitution step updates
+  // kRightLanes independent rows with contiguous vector operations. In
+  // the last, partial tile the spare lanes keep earlier values; they are
+  // never copied back.
+  std::vector<Real> tile(static_cast<std::size_t>(n * kRightLanes));
+  for (Index r0 = 0; r0 < m; r0 += kRightLanes) {
+    const Index w = std::min(kRightLanes, m - r0);
+    for (Index t = 0; t < w; ++t) {
+      const Real* src = a.row_ptr(r0 + t);
+      for (Index c = 0; c < n; ++c) tile[c * kRightLanes + t] = src[c];
+    }
+    for (Index i = 0; i < n; ++i) {
+      substitute_lanes(tile.data() + i * kRightLanes, tile.data(),
+                       l.row_ptr(i), 0, i, l(i, i));
+    }
+    if (backward) {
+      for (Index i = n - 1; i >= 0; --i) {
+        substitute_lanes(tile.data() + i * kRightLanes, tile.data(),
+                         lt.row_ptr(i), i + 1, n, l(i, i));
+      }
+    }
+    for (Index t = 0; t < w; ++t) {
+      Real* dst = a.row_ptr(r0 + t);
+      for (Index c = 0; c < n; ++c) dst[c] = tile[c * kRightLanes + t];
     }
   }
 }

@@ -32,6 +32,12 @@ void qr_apply_qt(const QrFactors& f, RealView b);
 /// Applies Q in place: b := Q b.
 void qr_apply_q(const QrFactors& f, RealView b);
 
+// Triangular solves. The left solves update whole rows of b
+// (b_i += (-t_ip) * b_p, which rounds exactly like b_i - t_ip * b_p,
+// then divide), so every inner loop is contiguous; each element of b
+// sees the same operations, in the same order, as the textbook
+// element-wise substitution.
+
 /// Solves the n x n upper-triangular system R x = b in place on the
 /// leading n rows of b (b has m >= n rows; trailing rows ignored).
 void solve_upper_triangular(RealConstView r, RealView b);
@@ -41,5 +47,18 @@ void solve_lower_triangular(RealConstView l, RealView b);
 
 /// Solves Lᵀ x = b in place given lower-triangular L.
 void solve_lower_transposed(RealConstView l, RealView b);
+
+/// What solve_right applies to the rows of a.
+enum class RightSolve {
+  kLowerTransposed,  ///< a := a L⁻ᵀ
+  kCholesky,         ///< a := a L⁻ᵀ L⁻¹ = a (L Lᵀ)⁻¹
+};
+
+/// Right-side solve with lower-triangular L (n x n) on an m x n block a,
+/// in place. Bit for bit the transpose of solve_lower_triangular(l, aᵀ)
+/// (followed, for kCholesky, by solve_lower_transposed), without
+/// materializing aᵀ: rows of a are substituted sixteen at a time through a
+/// small transposed tile.
+void solve_right(RealConstView l, RealView a, RightSolve what);
 
 }  // namespace lrt::la

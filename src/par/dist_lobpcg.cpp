@@ -31,18 +31,12 @@ la::RealMatrix gram_cholesky(const la::RealMatrix& g) {
   return l;
 }
 
-/// a := a L⁻ᵀ (local rows; the triangular factor is replicated).
-void apply_inverse_factor(const la::RealMatrix& l, la::RealView a_local) {
-  la::RealMatrix at = la::transpose<Real>(a_local);
-  la::solve_lower_triangular(l.view(), at.view());
-  const la::RealMatrix back = la::transpose<Real>(at.view());
-  la::copy<Real>(back.view(), a_local);
-}
-
 /// One distributed CholQR pass (one Gram allreduce).
 void cholqr_pass(Comm& comm, la::RealView a_local) {
   const la::RealMatrix g = dist_gram(comm, a_local);
-  apply_inverse_factor(gram_cholesky(g), a_local);
+  // a := a L⁻ᵀ (local rows; the triangular factor is replicated).
+  la::solve_right(gram_cholesky(g).view(), a_local,
+                  la::RightSolve::kLowerTransposed);
 }
 
 /// Distributed CholQR²: orthonormalizes the global columns of a
@@ -225,7 +219,8 @@ la::LobpcgResult dist_lobpcg_ca(Comm& comm, const DistBlockOperator& apply_h,
     la::gemm(la::Trans::kYes, la::Trans::kNo, Real{1}, cproj.view(),
              gqq_c.view(), Real{1}, g2.view());
     symmetrize(g2.view());
-    apply_inverse_factor(gram_cholesky(g2), r.view());
+    la::solve_right(gram_cholesky(g2).view(), r.view(),
+                    la::RightSolve::kLowerTransposed);
 
     // Round 2: the operator reduces internally.
     la::RealMatrix hr(n_local, k);

@@ -1,6 +1,9 @@
 // Hot-kernel performance layer exactness tests (docs/PERFORMANCE.md):
 //  - packed micro-kernel GEMM vs. a naive triple loop over odd shapes,
 //    all transpose combinations, strided views and aliased inputs;
+//  - the row-oriented dense small kernels (triangular solves, the
+//    right-side solve, gram, solve_gram_from_right) vs. the element-wise
+//    formulas they replaced, asserted BITWISE, and syev/sygv accuracy;
 //  - batched FFT (forward_many/inverse_many) vs. the per-line plan,
 //    asserted BITWISE, and the rewritten Fft3D vs. a copy of the old
 //    per-line algorithm, also bitwise;
@@ -8,6 +11,7 @@
 //    asserted bit-identical for the serial and distributed variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -21,6 +25,10 @@
 #include "kmeans/dist_kmeans.hpp"
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
+#include "la/cholesky.hpp"
+#include "la/eig.hpp"
+#include "la/lstsq.hpp"
+#include "la/qr.hpp"
 #include "obs/counters.hpp"
 #include "par/layout.hpp"
 
@@ -132,6 +140,280 @@ TEST(PackedGemm, AliasedGramInputsMatchNaive) {
                  la::RealMatrix(45, 45));
   EXPECT_LE(la::max_abs_diff(c.view(), expected.view()),
             1e-13 * 90 * la::max_abs(expected.view()));
+}
+
+// ----- dense small kernels -------------------------------------------------
+//
+// The oracles below are the element-wise, column-walking formulas the
+// row-oriented kernels replaced, written out here so the bitwise contract
+// ("each element sees the same operations in the same order") is checked
+// against the old code rather than against itself.
+
+void old_solve_lower(const la::RealMatrix& l, la::RealMatrix& b) {
+  const Index n = l.cols();
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < b.cols(); ++j) {
+      Real sum = b(i, j);
+      for (Index p = 0; p < i; ++p) sum -= l(i, p) * b(p, j);
+      b(i, j) = sum / l(i, i);
+    }
+  }
+}
+
+void old_solve_lower_transposed(const la::RealMatrix& l, la::RealMatrix& b) {
+  const Index n = l.cols();
+  for (Index i = n - 1; i >= 0; --i) {
+    for (Index j = 0; j < b.cols(); ++j) {
+      Real sum = b(i, j);
+      for (Index p = i + 1; p < n; ++p) sum -= l(p, i) * b(p, j);
+      b(i, j) = sum / l(i, i);
+    }
+  }
+}
+
+void old_solve_upper(const la::RealMatrix& r, la::RealMatrix& b) {
+  const Index n = r.cols();
+  for (Index i = n - 1; i >= 0; --i) {
+    for (Index j = 0; j < b.cols(); ++j) {
+      Real sum = b(i, j);
+      for (Index p = i + 1; p < n; ++p) sum -= r(i, p) * b(p, j);
+      b(i, j) = sum / r(i, i);
+    }
+  }
+}
+
+/// A well-conditioned lower-triangular factor with mixed-sign entries.
+la::RealMatrix random_lower(Index n, Rng& rng) {
+  la::RealMatrix l(n, n);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < i; ++j) l(i, j) = rng.uniform() - 0.5;
+    l(i, i) = 1.0 + rng.uniform();
+  }
+  return l;
+}
+
+void expect_bitwise(la::RealConstView got, la::RealConstView want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (Index i = 0; i < got.rows(); ++i) {
+    for (Index j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(got(i, j), want(i, j)) << "element (" << i << ", " << j << ")";
+    }
+  }
+}
+
+/// A random m x n block viewed inside a wider buffer (ld = n + 3): one
+/// padding column on the left, two on the right.
+struct PaddedBlock {
+  la::RealMatrix storage;
+  la::RealView view;
+  PaddedBlock(Index m, Index n, Rng& rng)
+      : storage(la::RealMatrix::random_uniform(m, n + 3, rng)),
+        view(storage.view().block(0, 1, m, n)) {}
+
+  /// The padding columns still hold what `before` (a copy of storage)
+  /// held.
+  void expect_padding_untouched(const la::RealMatrix& before) const {
+    const Index last = storage.cols() - 1;
+    for (Index i = 0; i < storage.rows(); ++i) {
+      for (const Index j : {Index{0}, last - 1, last}) {
+        ASSERT_EQ(storage(i, j), before(i, j)) << "padding (" << i << ", "
+                                               << j << ")";
+      }
+    }
+  }
+};
+
+TEST(DenseKernels, LeftSolvesMatchElementwiseSubstitution) {
+  Rng rng(31);
+  for (const Index n : {1, 2, 9, 40}) {
+    for (const Index k : {1, 7, 33}) {
+      const la::RealMatrix l = random_lower(n, rng);
+      const la::RealMatrix u = la::transpose<Real>(l.view());
+      using Solver = void (*)(la::RealConstView, la::RealView);
+      using Oracle = void (*)(const la::RealMatrix&, la::RealMatrix&);
+      const struct {
+        Solver solve;
+        Oracle oracle;
+        const la::RealMatrix& factor;
+      } cases[] = {{la::solve_lower_triangular, old_solve_lower, l},
+                   {la::solve_lower_transposed, old_solve_lower_transposed, l},
+                   {la::solve_upper_triangular, old_solve_upper, u}};
+      for (const auto& c : cases) {
+        // Two extra rows below the system are ignored by every solver.
+        PaddedBlock b(n + 2, k, rng);
+        const la::RealMatrix before = b.storage;
+        la::RealMatrix want = la::to_matrix<Real>(b.view);
+        c.oracle(c.factor, want);
+        c.solve(c.factor.view(), b.view);
+        expect_bitwise(b.view, want.view());
+        b.expect_padding_untouched(before);
+      }
+    }
+  }
+}
+
+TEST(DenseKernels, RightSolveMatchesTransposeFormula) {
+  Rng rng(32);
+  // Row counts straddle the 16-row tile (1, 15, 16, 17, 40); n = 1 is
+  // the scalar edge.
+  for (const Index n : {1, 5, 33}) {
+    for (const Index m : {1, 15, 16, 17, 40}) {
+      const la::RealMatrix l = random_lower(n, rng);
+      for (const la::RightSolve what :
+           {la::RightSolve::kLowerTransposed, la::RightSolve::kCholesky}) {
+        PaddedBlock a(m, n, rng);
+        const la::RealMatrix before = a.storage;
+        la::RealMatrix at = la::transpose<Real>(la::RealConstView(a.view));
+        old_solve_lower(l, at);
+        if (what == la::RightSolve::kCholesky) {
+          old_solve_lower_transposed(l, at);
+        }
+        const la::RealMatrix want = la::transpose<Real>(at.view());
+        la::solve_right(l.view(), a.view, what);
+        expect_bitwise(a.view, want.view());
+        a.expect_padding_untouched(before);
+      }
+    }
+  }
+}
+
+/// The gram() formula before it computed only the lower triangle: the
+/// full gemm, then symmetrized by averaging.
+la::RealMatrix old_gram(la::RealConstView a) {
+  la::RealMatrix g = la::gemm(la::Trans::kYes, la::Trans::kNo, a, a);
+  for (Index i = 0; i < g.rows(); ++i) {
+    for (Index j = i + 1; j < g.cols(); ++j) {
+      const Real avg = 0.5 * (g(i, j) + g(j, i));
+      g(i, j) = avg;
+      g(j, i) = avg;
+    }
+  }
+  return g;
+}
+
+TEST(DenseKernels, GramMatchesSymmetrizedGemm) {
+  Rng rng(33);
+  // Fallback shapes (2 m n² < 2·24³) and packed ones, with micro-tile
+  // remainders on both sides of the diagonal.
+  const struct {
+    Index m, n;
+  } shapes[] = {{1, 1}, {5, 4}, {10, 3}, {3, 17}, {90, 45},
+                {200, 37}, {64, 64}, {31, 100}};
+  for (const auto& shape : shapes) {
+    const PaddedBlock a(shape.m, shape.n, rng);
+    const la::RealMatrix got = la::gram(a.view);
+    expect_bitwise(got.view(), old_gram(a.view).view());
+  }
+}
+
+/// solve_gram_from_right before solve_right: transpose, Cholesky solve,
+/// transpose back, with the same ridge fallback.
+la::RealMatrix old_solve_gram_from_right(const la::RealMatrix& b,
+                                         const la::RealMatrix& gram,
+                                         Real ridge) {
+  const Index n = gram.rows();
+  la::RealMatrix g = gram;
+  la::RealMatrix l;
+  if (!la::try_cholesky(g.view(), l)) {
+    Real trace = 0.0;
+    for (Index i = 0; i < n; ++i) trace += g(i, i);
+    const Real shift = ridge * (trace > Real{0} ? trace / Real(n) : Real{1});
+    for (Index i = 0; i < n; ++i) g(i, i) += shift;
+    l = la::cholesky(g.view());
+  }
+  la::RealMatrix xt = la::transpose<Real>(b.view());
+  old_solve_lower(l, xt);
+  old_solve_lower_transposed(l, xt);
+  return la::transpose<Real>(xt.view());
+}
+
+TEST(DenseKernels, SolveGramFromRightMatchesTransposeFormula) {
+  Rng rng(34);
+  for (const Index n : {1, 6, 24}) {
+    const la::RealMatrix c = la::RealMatrix::random_uniform(n, 3 * n + 5, rng);
+    const la::RealMatrix cct =
+        la::gemm(la::Trans::kNo, la::Trans::kYes, c.view(), c.view());
+    const la::RealMatrix b = la::RealMatrix::random_uniform(19, n, rng);
+    expect_bitwise(la::solve_gram_from_right(b.view(), cct.view()).view(),
+                   old_solve_gram_from_right(b, cct, 1e-12).view());
+  }
+  // Ridge path: two identical interpolation rows make C Cᵀ singular.
+  la::RealMatrix c = la::RealMatrix::random_uniform(8, 30, rng);
+  for (Index j = 0; j < c.cols(); ++j) c(5, j) = c(2, j);
+  const la::RealMatrix cct =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, c.view(), c.view());
+  la::RealMatrix probe;
+  ASSERT_FALSE(la::try_cholesky(cct.view(), probe));
+  const la::RealMatrix b = la::RealMatrix::random_uniform(13, 8, rng);
+  expect_bitwise(la::solve_gram_from_right(b.view(), cct.view(), 1e-8).view(),
+                 old_solve_gram_from_right(b, cct, 1e-8).view());
+}
+
+/// A random symmetric matrix with entries in [-1, 1) / n (norm O(1)).
+la::RealMatrix random_symmetric(Index n, Rng& rng) {
+  la::RealMatrix a(n, n);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      a(i, j) = (2 * rng.uniform() - 1) / Real(n);
+      a(j, i) = a(i, j);
+    }
+  }
+  return a;
+}
+
+/// max |Qᵀ M Q - I| over the eigenvector columns Q (M = I when null).
+Real orthogonality(const la::RealMatrix& q, const la::RealMatrix* m) {
+  const la::RealMatrix mq =
+      m ? la::gemm(la::Trans::kNo, la::Trans::kNo, m->view(), q.view()) : q;
+  const la::RealMatrix g =
+      la::gemm(la::Trans::kYes, la::Trans::kNo, q.view(), mq.view());
+  Real worst = 0;
+  for (Index i = 0; i < g.rows(); ++i) {
+    for (Index j = 0; j < g.cols(); ++j) {
+      worst = std::max(worst, std::abs(g(i, j) - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  return worst;
+}
+
+TEST(DenseKernels, SyevAndSygvResidualAndOrthogonality) {
+  Rng rng(35);
+  for (const Index n : {1, 2, 12, 72}) {
+    const la::RealMatrix a = random_symmetric(n, rng);
+    const la::EigResult eig = la::syev(a.view());
+    EXPECT_LE(la::eig_residual(a.view(), eig), 1e-12) << "syev n=" << n;
+    EXPECT_LE(orthogonality(eig.vectors, nullptr), 1e-12) << "syev n=" << n;
+    for (Index k = 1; k < n; ++k) {
+      EXPECT_LE(eig.values[static_cast<std::size_t>(k - 1)],
+                eig.values[static_cast<std::size_t>(k)]);
+    }
+
+    // B = I + Xᵀ X / (2n): SPD with condition number O(1).
+    const la::RealMatrix x = la::RealMatrix::random_uniform(2 * n, n, rng);
+    la::RealMatrix b = la::gram(x.view());
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < n; ++j) b(i, j) /= Real(2 * n);
+      b(i, i) += 1.0;
+    }
+    const la::EigResult gen = la::sygv(a.view(), b.view());
+    const la::RealMatrix ax =
+        la::gemm(la::Trans::kNo, la::Trans::kNo, a.view(), gen.vectors.view());
+    const la::RealMatrix bx =
+        la::gemm(la::Trans::kNo, la::Trans::kNo, b.view(), gen.vectors.view());
+    Real residual = 0;
+    for (Index j = 0; j < n; ++j) {
+      Real sum = 0;
+      for (Index i = 0; i < n; ++i) {
+        const Real r = ax(i, j) - gen.values[static_cast<std::size_t>(j)] *
+                                      bx(i, j);
+        sum += r * r;
+      }
+      residual = std::max(residual, std::sqrt(sum));
+    }
+    EXPECT_LE(residual, 1e-12) << "sygv n=" << n;
+    EXPECT_LE(orthogonality(gen.vectors, &b), 1e-12) << "sygv n=" << n;
+  }
 }
 
 // ----- batched FFT ---------------------------------------------------------
