@@ -1,5 +1,6 @@
 // Hot-kernel micro substrates: packed GEMM, batched 3-D FFT, the dense
-// small kernels (right-side triangular solve, syev, sygv), pruned
+// small kernels (right-side triangular solve, syev, sygv), the Θ-fit
+// shapes of the blocked Cholesky and solve_gram_from_right, pruned
 // K-Means — seconds, GFLOP/s, and bytes/point per kernel, emitted as
 // BENCH_micro.json (schema lrt.bench/1).
 //
@@ -31,6 +32,7 @@
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
+#include "la/lstsq.hpp"
 #include "la/qr.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/counters.hpp"
@@ -329,6 +331,25 @@ void bench_dense(const Options& opt, Table& table, obs::BenchReport& report) {
     emit("la.trsm.right", "trsm_right", m, n, sec,
          2.0 * static_cast<double>(m) * static_cast<double>(n) *
              static_cast<double>(n));
+  }
+  // One rank's Θ fit at 4 ranks: the Nμ = 432 Gram factor and the whole
+  // X (C Cᵀ) = Z Cᵀ solve on 1024 grid rows, both above the blocked-path
+  // crossover (la/tuning.hpp). Same sizes in --smoke.
+  {
+    const Index n = 432;
+    const Index m = 1024;
+    Rng rng(19);
+    const la::RealMatrix g = spd(n, rng);
+    const la::RealMatrix b = la::RealMatrix::random_uniform(m, n, rng);
+    la::RealMatrix l, x;
+    const double nd = static_cast<double>(n);
+    const double factor_flops = nd * nd * nd / 3.0;
+    emit("la.cholesky.432", "cholesky", n, n,
+         best_of(reps, [&] { l = la::cholesky(g.view()); }), factor_flops);
+    emit("la.solve_gram.1024x432", "solve_gram", m, n,
+         best_of(reps,
+                 [&] { x = la::solve_gram_from_right(b.view(), g.view()); }),
+         factor_flops + 2.0 * static_cast<double>(m) * nd * nd);
   }
   // The Rayleigh-Ritz eigenproblems of a 24-band LOBPCG ([X R P]).
   {

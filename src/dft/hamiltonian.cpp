@@ -29,15 +29,12 @@ void KsHamiltonian::apply(la::RealConstView psi, la::RealView out) const {
   LRT_CHECK(psi.rows() == nr_ && out.rows() == nr_ &&
                 psi.cols() == out.cols(),
             "apply shape mismatch");
-  const Index k = psi.cols();
-  // Kinetic: ½G² in reciprocal space, two columns per transform.
+  // Kinetic: ½G² in reciprocal space, two columns per transform; the
+  // local potential is the diagonal term of the same pass.
   fft::apply_real_multiplier(
-      fft_, k, psi.data(), psi.ld(), out.data(), out.ld(),
-      [this](Index g) { return half_g2_[static_cast<std::size_t>(g)]; });
-  for (Index i = 0; i < nr_; ++i) {
-    const Real v = veff_[static_cast<std::size_t>(i)];
-    for (Index j = 0; j < k; ++j) out(i, j) = out(i, j) + v * psi(i, j);
-  }
+      fft_, psi.cols(), psi.data(), psi.ld(), out.data(), out.ld(),
+      [this](Index g) { return half_g2_[static_cast<std::size_t>(g)]; },
+      veff_.data());
   if (nonlocal_) nonlocal_->accumulate(psi, out);
 }
 

@@ -34,10 +34,11 @@ class PoissonSolver {
   /// element dv = Ω/Nr.
   Real energy(const Real* density, const Real* potential, Real dv) const;
 
- private:
-  /// The Hartree kernel at flat G index i: 4π/|G|², 0 at G = 0.
+  /// The Hartree kernel at flat G index i: 4π/|G|², 0 at G = 0 (even in
+  /// G, so fft::apply_real_multiplier can pair real columns with it).
   Real kernel(Index i) const;
 
+ private:
   Fft3D fft_;
   std::vector<Real> g2_;
 };

@@ -73,10 +73,13 @@ Real weighted_spectral_sum(const Fft3D& fft, Index k, const Real* in,
 /// `Real(Index g)`, one multiplier shared by all columns, or
 /// `Real(Index j, Index g)`, column j's multiplier. g is the flat FFT
 /// index; the per-column form is evaluated at one G of each ±G pair, so
-/// it must be even in G. Makes 2·⌈k/2⌉ 3-D transforms.
+/// it must be even in G. A non-null `diag` (nr values) adds the
+/// real-space diagonal term diag ∘ in_j in the same write-out pass.
+/// Makes 2·⌈k/2⌉ 3-D transforms.
 template <class F>
 void apply_real_multiplier(const Fft3D& fft, Index k, const Real* in,
-                           Index ld_in, Real* out, Index ld_out, const F& f) {
+                           Index ld_in, Real* out, Index ld_out, const F& f,
+                           const Real* diag = nullptr) {
   constexpr bool kShared = std::is_invocable_v<const F&, Index>;
   const auto [n0, n1, n2] = fft.shape();
   const Index nr = fft.size();
@@ -121,9 +124,13 @@ void apply_real_multiplier(const Fft3D& fft, Index k, const Real* in,
       }
     }
     fft.inverse(z);
-    for (Index i = 0; i < nr; ++i) out[i * ld_out + a] = z[i].real();
-    if (pair) {
-      for (Index i = 0; i < nr; ++i) out[i * ld_out + b] = z[i].imag();
+    // Reads in(i, j) before writing out(i, j), so `out` may alias `in`.
+    const auto put = [&](Index i, Index j, Real v) {
+      out[i * ld_out + j] = diag ? v + diag[i] * in[i * ld_in + j] : v;
+    };
+    for (Index i = 0; i < nr; ++i) {
+      put(i, a, z[i].real());
+      if (pair) put(i, b, z[i].imag());
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "la/tuning.hpp"
 #include "obs/counters.hpp"
 
 #ifdef _OPENMP
@@ -18,10 +19,6 @@ namespace {
 
 /// Dimension product above which gemm spawns an OpenMP team.
 constexpr double kParallelFlopThreshold = 1e6;
-
-/// Below this flop count the packed path's pack/unpack overhead is not
-/// amortized; a branch-free scalar fallback runs instead.
-constexpr double kPackedFlopThreshold = 2.0 * 24 * 24 * 24;
 
 // ---------------------------------------------------------------------------
 // Packed micro-kernel GEMM (docs/PERFORMANCE.md §1).

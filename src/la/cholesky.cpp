@@ -1,14 +1,18 @@
 #include "la/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/blas.hpp"
 #include "la/qr.hpp"
+#include "la/tuning.hpp"
 
 namespace lrt::la {
 namespace {
 
-bool factor_in_place(RealMatrix& a) {
+/// Element-wise (dot-product) Cholesky of the lower triangle of `a`, in
+/// place; the strict upper triangle is neither read nor written.
+bool factor_elementwise(RealView a) {
   const Index n = a.rows();
   for (Index j = 0; j < n; ++j) {
     Real diag = a(j, j);
@@ -23,7 +27,41 @@ bool factor_in_place(RealMatrix& a) {
       a(i, j) = sum * inv;
     }
   }
+  return true;
+}
+
+/// Left-looking blocked Cholesky: each block column of width kOrderBlock
+/// takes one gemm update from the factored columns to its left, then its
+/// diagonal block is factored element-wise and the slab below that block
+/// is solved against it (solve_right at order <= kOrderBlock, so
+/// element-wise). Leaves update products in the strict upper triangle of
+/// the diagonal blocks; the caller zeroes it.
+bool factor_blocked(RealView a) {
+  const Index n = a.rows();
+  for (Index j0 = 0; j0 < n; j0 += kOrderBlock) {
+    const Index w = std::min(kOrderBlock, n - j0);
+    if (j0 > 0) {
+      const RealConstView left = a.block(j0, 0, n - j0, j0);
+      gemm(Trans::kNo, Trans::kYes, Real{-1}, left, left.rows_block(0, w),
+           Real{1}, a.block(j0, j0, n - j0, w));
+    }
+    const RealView diag = a.block(j0, j0, w, w);
+    if (!factor_elementwise(diag)) return false;
+    if (j0 + w < n) {
+      solve_right(diag, a.block(j0 + w, j0, n - j0 - w, w),
+                  RightSolve::kLowerTransposed);
+    }
+  }
+  return true;
+}
+
+bool factor_in_place(RealMatrix& a) {
+  const bool ok = a.rows() > kBlockedOrderCrossover
+                      ? factor_blocked(a.view())
+                      : factor_elementwise(a.view());
+  if (!ok) return false;
   // Zero the strict upper triangle so the result is exactly L.
+  const Index n = a.rows();
   for (Index i = 0; i < n; ++i) {
     for (Index j = i + 1; j < n; ++j) a(i, j) = Real{0};
   }

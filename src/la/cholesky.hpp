@@ -7,7 +7,10 @@ namespace lrt::la {
 
 /// Factors a symmetric positive-definite matrix A = L Lᵀ. Returns the
 /// lower-triangular L (strict upper part zeroed). Throws lrt::Error if a
-/// non-positive pivot is met.
+/// non-positive pivot is met. The result depends only on the lower
+/// triangle of A. Orders above kBlockedOrderCrossover (la/tuning.hpp)
+/// run a blocked, left-looking factorization whose updates go through
+/// gemm.
 RealMatrix cholesky(RealConstView a);
 
 /// Like cholesky() but returns false instead of throwing when the matrix

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "la/blas.hpp"
+#include "la/tuning.hpp"
 
 namespace lrt::la {
 namespace {
@@ -75,6 +76,44 @@ void substitute_lanes(Real* __restrict ti, const Real* __restrict rows,
   }
 #pragma omp simd
   for (Index t = 0; t < kRightLanes; ++t) ti[t] /= d;
+}
+
+/// The element-wise right solve: a := a L⁻ᵀ (`forward`), then
+/// a := a L⁻¹ (`backward`, reading L's columns as rows of `lt` = Lᵀ), on
+/// rows of a substituted kRightLanes at a time through `tile`
+/// (n · kRightLanes values).
+void substitute_right(RealConstView l, RealConstView lt, RealView a,
+                      bool forward, bool backward, Real* tile) {
+  const Index n = l.cols();
+  const Index m = a.rows();
+  // The tile holds rows [r0, r0 + kRightLanes) of a transposed: entry
+  // (c, t) is a(r0 + t, c), so each substitution step updates
+  // kRightLanes independent rows with contiguous vector operations. In
+  // the last, partial tile the spare lanes keep earlier values; they are
+  // never copied back.
+  for (Index r0 = 0; r0 < m; r0 += kRightLanes) {
+    const Index w = std::min(kRightLanes, m - r0);
+    for (Index t = 0; t < w; ++t) {
+      const Real* src = a.row_ptr(r0 + t);
+      for (Index c = 0; c < n; ++c) tile[c * kRightLanes + t] = src[c];
+    }
+    if (forward) {
+      for (Index i = 0; i < n; ++i) {
+        substitute_lanes(tile + i * kRightLanes, tile, l.row_ptr(i), 0, i,
+                         l(i, i));
+      }
+    }
+    if (backward) {
+      for (Index i = n - 1; i >= 0; --i) {
+        substitute_lanes(tile + i * kRightLanes, tile, lt.row_ptr(i), i + 1,
+                         n, l(i, i));
+      }
+    }
+    for (Index t = 0; t < w; ++t) {
+      Real* dst = a.row_ptr(r0 + t);
+      for (Index c = 0; c < n; ++c) dst[c] = tile[c * kRightLanes + t];
+    }
+  }
 }
 
 }  // namespace
@@ -216,38 +255,44 @@ void solve_right(RealConstView l, RealView a, RightSolve what) {
     LRT_CHECK(std::abs(l(i, i)) > Real{0},
               "singular triangular factor at " << i);
   }
-  const Index m = a.rows();
-  if (m == 0 || n == 0) return;
+  if (a.rows() == 0 || n == 0) return;
   const bool backward = what == RightSolve::kCholesky;
   // The backward sweep reads L by columns; one transposed copy makes those
   // reads contiguous too.
   const RealMatrix lt = backward ? transpose(l) : RealMatrix();
-  // The tile holds rows [r0, r0 + kRightLanes) of a transposed: entry
-  // (c, t) is a(r0 + t, c), so each substitution step updates
-  // kRightLanes independent rows with contiguous vector operations. In
-  // the last, partial tile the spare lanes keep earlier values; they are
-  // never copied back.
   std::vector<Real> tile(static_cast<std::size_t>(n * kRightLanes));
-  for (Index r0 = 0; r0 < m; r0 += kRightLanes) {
-    const Index w = std::min(kRightLanes, m - r0);
-    for (Index t = 0; t < w; ++t) {
-      const Real* src = a.row_ptr(r0 + t);
-      for (Index c = 0; c < n; ++c) tile[c * kRightLanes + t] = src[c];
+  if (n <= kBlockedOrderCrossover) {
+    substitute_right(l, lt.view(), a, true, backward, tile.data());
+    return;
+  }
+  // Left-looking over block columns J of width kOrderBlock: the gemm
+  // subtracts the already solved columns' contribution, then the diagonal
+  // block (order <= kOrderBlock) is substituted element-wise.
+  // Forward, a := a L⁻ᵀ: X_J = (A_J - X_{<J} L_{J,<J}ᵀ) L_JJ⁻ᵀ.
+  for (Index j0 = 0; j0 < n; j0 += kOrderBlock) {
+    const Index w = std::min(kOrderBlock, n - j0);
+    const RealView xj = a.cols_block(j0, w);
+    if (j0 > 0) {
+      gemm(Trans::kNo, Trans::kYes, Real{-1}, a.cols_block(0, j0),
+           l.block(j0, 0, w, j0), Real{1}, xj);
     }
-    for (Index i = 0; i < n; ++i) {
-      substitute_lanes(tile.data() + i * kRightLanes, tile.data(),
-                       l.row_ptr(i), 0, i, l(i, i));
+    substitute_right(l.block(j0, j0, w, w), RealConstView(), xj, true, false,
+                     tile.data());
+  }
+  if (!backward) return;
+  // Backward, a := a L⁻¹, last block first:
+  // Y_J = (X_J - Y_{>J} L_{>J,J}) L_JJ⁻¹.
+  for (Index j0 = (n - 1) / kOrderBlock * kOrderBlock; j0 >= 0;
+       j0 -= kOrderBlock) {
+    const Index w = std::min(kOrderBlock, n - j0);
+    const Index rest = n - j0 - w;
+    const RealView yj = a.cols_block(j0, w);
+    if (rest > 0) {
+      gemm(Trans::kNo, Trans::kNo, Real{-1}, a.cols_block(j0 + w, rest),
+           l.block(j0 + w, j0, rest, w), Real{1}, yj);
     }
-    if (backward) {
-      for (Index i = n - 1; i >= 0; --i) {
-        substitute_lanes(tile.data() + i * kRightLanes, tile.data(),
-                         lt.row_ptr(i), i + 1, n, l(i, i));
-      }
-    }
-    for (Index t = 0; t < w; ++t) {
-      Real* dst = a.row_ptr(r0 + t);
-      for (Index c = 0; c < n; ++c) dst[c] = tile[c * kRightLanes + t];
-    }
+    substitute_right(l.block(j0, j0, w, w), lt.view().block(j0, j0, w, w), yj,
+                     false, true, tile.data());
   }
 }
 

@@ -55,10 +55,13 @@ enum class RightSolve {
 };
 
 /// Right-side solve with lower-triangular L (n x n) on an m x n block a,
-/// in place. Bit for bit the transpose of solve_lower_triangular(l, aᵀ)
-/// (followed, for kCholesky, by solve_lower_transposed), without
-/// materializing aᵀ: rows of a are substituted sixteen at a time through a
-/// small transposed tile.
+/// in place. For n <= kBlockedOrderCrossover (la/tuning.hpp) bit for bit
+/// the transpose of solve_lower_triangular(l, aᵀ) (followed, for
+/// kCholesky, by solve_lower_transposed), without materializing aᵀ: rows
+/// of a are substituted sixteen at a time through a small transposed
+/// tile. Above it the sweeps are blocked: each block column of a takes a
+/// gemm update from the columns already solved, and only the diagonal
+/// blocks are substituted element-wise.
 void solve_right(RealConstView l, RealView a, RightSolve what);
 
 }  // namespace lrt::la

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "dft/xc.hpp"
+#include "fft/real_columns.hpp"
 
 namespace lrt::tddft {
 
@@ -25,22 +26,12 @@ void HxcKernel::apply(la::RealConstView f, la::RealView out,
                       obs::WallProfiler* profiler) const {
   LRT_CHECK(f.rows() == nr_ && out.rows() == nr_ && f.cols() == out.cols(),
             "kernel apply shape mismatch");
-  const Index k = f.cols();
-
   Timer fft_timer;
-  std::vector<Real> column(static_cast<std::size_t>(nr_));
-  std::vector<Real> hartree(static_cast<std::size_t>(nr_));
-  for (Index j = 0; j < k; ++j) {
-    for (Index i = 0; i < nr_; ++i) {
-      column[static_cast<std::size_t>(i)] = f(i, j);
-    }
-    poisson_.solve(column.data(), hartree.data());
-    for (Index i = 0; i < nr_; ++i) {
-      out(i, j) = hartree[static_cast<std::size_t>(i)] +
-                  fxc_[static_cast<std::size_t>(i)] *
-                      column[static_cast<std::size_t>(i)];
-    }
-  }
+  // Hartree through 4π/G², two real columns per transform, plus the
+  // diagonal f_xc term in the same write-out pass.
+  fft::apply_real_multiplier(
+      poisson_.fft(), f.cols(), f.data(), f.ld(), out.data(), out.ld(),
+      [this](Index g) { return poisson_.kernel(g); }, fxc_.data());
   if (profiler) profiler->add("fft", fft_timer.seconds());
 }
 

@@ -3,10 +3,11 @@
 //   f_Hxc(r, r') = 1/|r - r'|  +  δV_xc[n](r)/δn(r')
 //                = Hartree     +  ALDA: f_xc(n(r)) δ(r - r')
 //
-// Applied to pair densities / interpolation vectors column by column:
-// the Hartree piece through the reciprocal-space Poisson kernel 4π/G²
-// (one forward + one inverse FFT per column — the "FFT" phase of the
-// paper's Figure 8), the ALDA piece as a diagonal real-space multiply.
+// Applied to pair densities / interpolation vectors, two real columns
+// per complex transform: the Hartree piece through the reciprocal-space
+// Poisson kernel 4π/G² (one forward + one inverse FFT per column pair —
+// the "FFT" phase of the paper's Figure 8), the ALDA piece as a diagonal
+// real-space multiply folded into the same pass.
 #pragma once
 
 #include <vector>
@@ -31,7 +32,8 @@ class HxcKernel {
   Real dv() const { return dv_; }
   const std::vector<Real>& fxc() const { return fxc_; }
 
-  /// out(:, j) = (v_H + f_xc) f(:, j) for every column. `profiler`
+  /// out(:, j) = (v_H + f_xc) f(:, j) for every column (`out` may alias
+  /// `f`). Makes 2·⌈k/2⌉ 3-D transforms for k columns. `profiler`
   /// receives the "fft" phase.
   void apply(la::RealConstView f, la::RealView out,
              obs::WallProfiler* profiler = nullptr) const;

@@ -29,6 +29,7 @@
 #include "la/eig.hpp"
 #include "la/lstsq.hpp"
 #include "la/qr.hpp"
+#include "la/tuning.hpp"
 #include "obs/counters.hpp"
 #include "par/layout.hpp"
 
@@ -414,6 +415,164 @@ TEST(DenseKernels, SyevAndSygvResidualAndOrthogonality) {
     EXPECT_LE(residual, 1e-12) << "sygv n=" << n;
     EXPECT_LE(orthogonality(gen.vectors, &b), 1e-12) << "sygv n=" << n;
   }
+}
+
+// ----- blocked Cholesky and right solve ------------------------------------
+
+/// The element-wise Cholesky that runs at and below the crossover.
+la::RealMatrix elementwise_cholesky(const la::RealMatrix& a) {
+  const Index n = a.rows();
+  la::RealMatrix l = a;
+  for (Index j = 0; j < n; ++j) {
+    Real diag = l(j, j);
+    for (Index k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    const Real ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    const Real inv = Real{1} / ljj;
+    for (Index i = j + 1; i < n; ++i) {
+      Real sum = l(i, j);
+      for (Index k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      l(i, j) = sum * inv;
+    }
+  }
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i + 1; j < n; ++j) l(i, j) = 0;
+  }
+  return l;
+}
+
+/// A = I + Xᵀ X / (2n): SPD, entries O(1), condition number O(n).
+la::RealMatrix well_conditioned_spd(Index n, Rng& rng) {
+  const la::RealMatrix x = la::RealMatrix::random_uniform(2 * n, n, rng);
+  la::RealMatrix a = la::gram(x.view());
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < n; ++j) a(i, j) /= Real(2 * n);
+    a(i, i) += 1.0;
+  }
+  return a;
+}
+
+/// Orders just below, at and above the crossover, a ragged last block
+/// (kOrderBlock does not divide 2·kOrderBlock + 7 or 432) and the Θ-fit
+/// order Nμ = 432 of the Si64* analog.
+std::vector<Index> blocked_orders() {
+  return {la::kBlockedOrderCrossover - 1, la::kBlockedOrderCrossover,
+          la::kBlockedOrderCrossover + 1,
+          la::kBlockedOrderCrossover + la::kOrderBlock + 7, 432};
+}
+
+/// max |x op(l) - b| for op = Lᵀ (kLowerTransposed) or L Lᵀ (kCholesky).
+Real right_solve_residual(const la::RealMatrix& l, const la::RealMatrix& x,
+                          const la::RealMatrix& b, la::RightSolve what) {
+  const la::RealMatrix xl =
+      what == la::RightSolve::kCholesky
+          ? la::gemm(la::Trans::kNo, la::Trans::kNo, x.view(), l.view())
+          : x;
+  const la::RealMatrix prod =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, xl.view(), l.view());
+  return la::max_abs_diff(prod.view(), b.view());
+}
+
+TEST(BlockedKernels, CholeskyResidualAndStructure) {
+  Rng rng(41);
+  for (const Index n : blocked_orders()) {
+    const la::RealMatrix a = well_conditioned_spd(n, rng);
+    const la::RealMatrix l = la::cholesky(a.view());
+    Index bad_entries = 0;  // non-positive pivots, non-zero upper entries
+    for (Index i = 0; i < n; ++i) {
+      if (!(l(i, i) > 0.0)) ++bad_entries;
+      for (Index j = i + 1; j < n; ++j) {
+        if (l(i, j) != 0.0) ++bad_entries;
+      }
+    }
+    EXPECT_EQ(bad_entries, 0) << "n=" << n;
+    const la::RealMatrix llt =
+        la::gemm(la::Trans::kNo, la::Trans::kYes, l.view(), l.view());
+    EXPECT_LE(la::max_abs_diff(llt.view(), a.view()),
+              1e-13 * la::max_abs(a.view()))
+        << "n=" << n;
+    // try_cholesky takes the same path.
+    la::RealMatrix l2;
+    ASSERT_TRUE(la::try_cholesky(a.view(), l2));
+    expect_bitwise(l2.view(), l.view());
+    // A pivot that turns negative in the last block is reported, not
+    // factored.
+    la::RealMatrix bad = a;
+    bad(n - 1, n - 1) = -1.0;
+    EXPECT_FALSE(la::try_cholesky(bad.view(), l2)) << "n=" << n;
+    EXPECT_THROW(la::cholesky(bad.view()), Error) << "n=" << n;
+  }
+}
+
+TEST(BlockedKernels, RightSolveResidual) {
+  Rng rng(42);
+  for (const Index n : blocked_orders()) {
+    const la::RealMatrix l = la::cholesky(well_conditioned_spd(n, rng).view());
+    for (const la::RightSolve what :
+         {la::RightSolve::kLowerTransposed, la::RightSolve::kCholesky}) {
+      // 37 rows: two full 16-row tiles and a partial one.
+      PaddedBlock a(37, n, rng);
+      const la::RealMatrix before = a.storage;
+      const la::RealMatrix b = la::to_matrix<Real>(a.view);
+      la::solve_right(l.view(), a.view, what);
+      const la::RealMatrix x = la::to_matrix<Real>(a.view);
+      EXPECT_LE(right_solve_residual(l, x, b, what), 1e-13)
+          << "n=" << n << " cholesky=" << (what == la::RightSolve::kCholesky);
+      a.expect_padding_untouched(before);
+    }
+  }
+}
+
+TEST(BlockedKernels, AtTheCrossoverResultsAreElementwiseBitwise) {
+  Rng rng(43);
+  const Index n = la::kBlockedOrderCrossover;
+  const la::RealMatrix a = well_conditioned_spd(n, rng);
+  const la::RealMatrix l = la::cholesky(a.view());
+  expect_bitwise(l.view(), elementwise_cholesky(a).view());
+  for (const la::RightSolve what :
+       {la::RightSolve::kLowerTransposed, la::RightSolve::kCholesky}) {
+    PaddedBlock x(21, n, rng);
+    la::RealMatrix at = la::transpose<Real>(la::RealConstView(x.view));
+    old_solve_lower(l, at);
+    if (what == la::RightSolve::kCholesky) old_solve_lower_transposed(l, at);
+    la::solve_right(l.view(), x.view, what);
+    expect_bitwise(x.view, la::transpose<Real>(at.view()).view());
+  }
+}
+
+TEST(BlockedKernels, SolveGramFromRightAtThetaFitOrder) {
+  // X (C Cᵀ) = B at Nμ = 432, as in the Θ fit of the Si64* analog.
+  Rng rng(44);
+  const Index nmu = 432;
+  const la::RealMatrix b = la::RealMatrix::random_uniform(40, nmu, rng);
+  auto residual = [&](const la::RealMatrix& x, const la::RealMatrix& g) {
+    const la::RealMatrix xg =
+        la::gemm(la::Trans::kNo, la::Trans::kNo, x.view(), g.view());
+    return la::max_abs_diff(xg.view(), b.view());
+  };
+  la::RealMatrix c = la::RealMatrix::random_uniform(nmu, 700, rng);
+  const la::RealMatrix cct =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, c.view(), c.view());
+  const la::RealMatrix x = la::solve_gram_from_right(b.view(), cct.view());
+  EXPECT_LE(residual(x, cct), 1e-11);
+
+  // Ridge path: interpolation rows 200..239 duplicate rows 0..39, in a
+  // later block than their twins, so C Cᵀ is singular.
+  for (Index r = 200; r < 240; ++r) {
+    for (Index j = 0; j < c.cols(); ++j) c(r, j) = c(r - 200, j);
+  }
+  la::RealMatrix g =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, c.view(), c.view());
+  la::RealMatrix probe;
+  ASSERT_FALSE(la::try_cholesky(g.view(), probe));
+  const Real ridge = 1e-8;
+  const la::RealMatrix xr = la::solve_gram_from_right(b.view(), g.view(), ridge);
+  Real trace = 0;
+  for (Index i = 0; i < nmu; ++i) trace += g(i, i);
+  for (Index i = 0; i < nmu; ++i) g(i, i) += ridge * trace / Real(nmu);
+  // Backward error: the residual is roundoff relative to |X| |G|.
+  EXPECT_LE(residual(xr, g),
+            1e-13 * la::max_abs(xr.view()) * la::max_abs(g.view()));
 }
 
 // ----- batched FFT ---------------------------------------------------------

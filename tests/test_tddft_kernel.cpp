@@ -1,9 +1,11 @@
 // f_Hxc kernel application tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dft/xc.hpp"
+#include "obs/counters.hpp"
 #include "tddft/kernel.hpp"
 
 namespace lrt::tddft {
@@ -82,6 +84,58 @@ TEST(HxcKernel, OperatorIsSymmetricUnderGridInnerProduct) {
     rhs += ka(i, 0) * b(i, 0);
   }
   EXPECT_NEAR(lhs, rhs, 1e-8 * (std::abs(lhs) + 1));
+}
+
+TEST(HxcKernel, PairedApplyMatchesPerColumnOracle) {
+  // apply() pairs real columns in one complex transform; the oracle is
+  // the per-column formula: one Poisson solve per column plus f_xc·f.
+  KernelFixture f;
+  const Index nr = f.grid.size();
+  const fft::PoissonSolver poisson(
+      fft::Fft3D(f.grid.shape()[0], f.grid.shape()[1], f.grid.shape()[2]),
+      f.gvectors.g2_table());
+  obs::Counter& calls = obs::counter("fft.fft3d.calls");
+  Rng rng(3);
+  for (const bool include_xc : {false, true}) {
+    const HxcKernel kernel(f.grid, f.gvectors, f.density, include_xc);
+    const std::vector<Real> fxc =
+        include_xc ? dft::lda_fxc_array(f.density)
+                   : std::vector<Real>(static_cast<std::size_t>(nr), 0.0);
+    for (const Index k : {1, 2, 7, 108}) {
+      // Both blocks sit inside wider storage (ld = k + 3).
+      la::RealMatrix in_storage = la::RealMatrix::random_normal(nr, k + 3, rng);
+      la::RealMatrix out_storage(nr, k + 3, -7.0);
+      const la::RealConstView in = in_storage.view().block(0, 1, nr, k);
+      const la::RealView out = out_storage.view().block(0, 2, nr, k);
+      const long long before = calls.value();
+      kernel.apply(in, out);
+      EXPECT_EQ(calls.value() - before, 2 * ((k + 1) / 2))
+          << "k=" << k << " xc=" << include_xc;
+
+      std::vector<Real> column(static_cast<std::size_t>(nr));
+      std::vector<Real> hartree(static_cast<std::size_t>(nr));
+      Real worst = 0, scale = 0;
+      for (Index j = 0; j < k; ++j) {
+        for (Index i = 0; i < nr; ++i) {
+          column[static_cast<std::size_t>(i)] = in(i, j);
+        }
+        poisson.solve(column.data(), hartree.data());
+        for (Index i = 0; i < nr; ++i) {
+          const std::size_t s = static_cast<std::size_t>(i);
+          const Real want = hartree[s] + fxc[s] * column[s];
+          worst = std::max(worst, std::abs(out(i, j) - want));
+          scale = std::max(scale, std::abs(want));
+        }
+      }
+      EXPECT_LE(worst, 1e-12 * scale) << "k=" << k << " xc=" << include_xc;
+      for (Index i = 0; i < nr; ++i) {
+        for (const Index j : {Index{0}, Index{1}, k + 2}) {
+          ASSERT_EQ(out_storage(i, j), -7.0) << "padding (" << i << ", " << j
+                                             << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(HxcKernel, ProfilerReceivesFftPhase) {
