@@ -3,13 +3,11 @@
 //
 // Each rank owns a contiguous row slab of every tall block (X, W, P and
 // their operator images); the 3k x 3k projected problem, its
-// eigendecomposition and all coefficient updates are replicated. The only
-// communication per iteration is the handful of Allreduces behind the
-// Gram/projection products — identical in structure to the paper's
-// parallel LOBPCG.
+// eigendecomposition and all coefficient updates are replicated. The
+// iteration is la::lobpcg_iterate with Comm::allreduce(kSum) as its
+// reduction hook: three allreduce rounds per iteration, one of them inside
+// the operator (docs/PERFORMANCE.md §5).
 #pragma once
-
-#include <functional>
 
 #include "la/lobpcg.hpp"
 #include "par/comm.hpp"
@@ -19,40 +17,19 @@ namespace lrt::par {
 /// Applies the operator to this rank's row slab: y_local = (H x)_local.
 /// Implementations communicate internally if H mixes rows (the implicit
 /// Casida operator does, through the Nμ-space contraction).
-using DistBlockOperator =
-    std::function<void(la::RealConstView x_local, la::RealView y_local)>;
+using DistBlockOperator = la::BlockOperator;
 
 /// In-place preconditioner on the local residual slab.
-using DistBlockPreconditioner =
-    std::function<void(la::RealView r_local, const std::vector<Real>& theta)>;
-
-/// Strategy for the per-iteration Gram/projection reductions.
-///
-///  - kLegacy: the original iteration — CholQR², one projection (and one
-///    allreduce) per basis block. Bit-for-bit the pre-existing behavior.
-///  - kPerBlock: the communication-avoiding iteration (single-reduction
-///    classical Gram-Schmidt over [X P W] plus single-pass CholQR assembled
-///    from the same Gram matrix) with each logical block reduced in its own
-///    allreduce. Reference twin for kFused.
-///  - kFused: the same iteration with every block of a round concatenated
-///    into one contiguous buffer and reduced in a single allreduce — three
-///    reduction rounds per iteration (fused norms+Gram, the operator
-///    application, fused Rayleigh-Ritz). Bitwise identical to kPerBlock:
-///    the reduction is elementwise over the same tree, so packing blocks
-///    side by side cannot change a single bit. It is NOT bitwise identical
-///    to kLegacy, whose orthogonalization is a different (two-pass)
-///    algorithm; see docs/PERFORMANCE.md.
-enum class GramReduction { kLegacy, kPerBlock, kFused };
+using DistBlockPreconditioner = la::BlockPreconditioner;
 
 /// Lowest-k eigenpairs; `x0_local` is this rank's slab of the initial
 /// block (global row count implied by the sum over ranks). The returned
 /// eigenvectors are this rank's slab. Deterministic across rank counts up
-/// to roundoff. Collective. `reduction` picks the communication schedule;
-/// every rank must pass the same value.
+/// to roundoff; at one rank bit for bit la::lobpcg. Collective: every
+/// rank must pass the same options.
 la::LobpcgResult dist_lobpcg(Comm& comm, const DistBlockOperator& apply_h,
                              const DistBlockPreconditioner& preconditioner,
                              la::RealMatrix x0_local,
-                             const la::LobpcgOptions& options = {},
-                             GramReduction reduction = GramReduction::kLegacy);
+                             const la::LobpcgOptions& options = {});
 
 }  // namespace lrt::par

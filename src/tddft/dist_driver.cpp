@@ -169,6 +169,33 @@ void finalize_hamiltonian(la::RealMatrix& h, const std::vector<Real>& d,
   }
 }
 
+/// Aᵀ B replicated on every rank, for row slabs a_loc and b_loc of the
+/// same global rows (Algorithm 1 lines 7-8): one monolithic allreduce, or
+/// with options.pipelined_reduce the pipelined reduce to the row owners
+/// followed by an allgatherv of the owned rows.
+la::RealMatrix replicated_gram(par::Comm& comm, la::RealConstView a_loc,
+                               la::RealConstView b_loc,
+                               const DistDriverOptions& options) {
+  if (!options.pipelined_reduce) {
+    return par::gram_reduce_monolithic(comm, a_loc, b_loc);
+  }
+  const par::PipelineResult piped =
+      par::gram_reduce_pipelined(comm, a_loc, b_loc, options.pipeline_chunk);
+  const Index rows = a_loc.cols();
+  const Index cols = b_loc.cols();
+  la::RealMatrix c(rows, cols);
+  std::vector<Index> counts(static_cast<std::size_t>(comm.size()));
+  std::vector<Index> displs(static_cast<std::size_t>(comm.size()));
+  const par::BlockPartition out_rows(rows, comm.size());
+  for (int r = 0; r < comm.size(); ++r) {
+    counts[static_cast<std::size_t>(r)] = out_rows.count(r) * cols;
+    displs[static_cast<std::size_t>(r)] = out_rows.offset(r) * cols;
+  }
+  comm.allgatherv(piped.local_rows.data(), piped.local_rows.size(), c.data(),
+                  counts, displs);
+  return c;
+}
+
 std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
                               const HxcKernel& kernel,
                               const DistDriverOptions& options,
@@ -190,25 +217,9 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
       comm, kernel, p_loc.view(), nr, ncv, clock);
 
   // Vhxc assembly (lines 7-8): GEMM + Allreduce, or pipelined Reduce.
-  la::RealMatrix h;
   PhaseTimer t_gemm(clock, obs::phase::kGemm);
-  if (options.pipelined_reduce) {
-    par::PipelineResult piped = par::gram_reduce_pipelined(
-        comm, p_loc.view(), kp_loc.view(), options.pipeline_chunk);
-    // Replicate for the dense solve (rank rows -> full matrix).
-    h.resize(ncv, ncv);
-    std::vector<Index> counts(static_cast<std::size_t>(comm.size()));
-    std::vector<Index> displs(static_cast<std::size_t>(comm.size()));
-    const par::BlockPartition out_rows(ncv, comm.size());
-    for (int r = 0; r < comm.size(); ++r) {
-      counts[static_cast<std::size_t>(r)] = out_rows.count(r) * ncv;
-      displs[static_cast<std::size_t>(r)] = out_rows.offset(r) * ncv;
-    }
-    comm.allgatherv(piped.local_rows.data(), piped.local_rows.size(),
-                    h.data(), counts, displs);
-  } else {
-    h = par::gram_reduce_monolithic(comm, p_loc.view(), kp_loc.view());
-  }
+  la::RealMatrix h =
+      replicated_gram(comm, p_loc.view(), kp_loc.view(), options);
   t_gemm.stop();
 
   finalize_hamiltonian(h, energy_differences(problem), problem.grid.dv());
@@ -329,24 +340,8 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   const la::RealMatrix ktheta_loc = kernel_apply_distributed(
       comm, kernel, theta_loc.view(), nr, nmu, clock);
   PhaseTimer t_gemm2(clock, obs::phase::kGemm);
-  la::RealMatrix m_mat;
-  if (options.pipelined_reduce) {
-    par::PipelineResult piped = par::gram_reduce_pipelined(
-        comm, theta_loc.view(), ktheta_loc.view(), options.pipeline_chunk);
-    m_mat.resize(nmu, nmu);
-    std::vector<Index> counts(static_cast<std::size_t>(comm.size()));
-    std::vector<Index> displs(static_cast<std::size_t>(comm.size()));
-    const par::BlockPartition out_rows(nmu, comm.size());
-    for (int r = 0; r < comm.size(); ++r) {
-      counts[static_cast<std::size_t>(r)] = out_rows.count(r) * nmu;
-      displs[static_cast<std::size_t>(r)] = out_rows.offset(r) * nmu;
-    }
-    comm.allgatherv(piped.local_rows.data(), piped.local_rows.size(),
-                    m_mat.data(), counts, displs);
-  } else {
-    m_mat = par::gram_reduce_monolithic(comm, theta_loc.view(),
-                                        ktheta_loc.view());
-  }
+  la::RealMatrix m_mat =
+      replicated_gram(comm, theta_loc.view(), ktheta_loc.view(), options);
   const Real dv = problem.grid.dv();
   for (Index i = 0; i < nmu; ++i) {
     for (Index j = i; j < nmu; ++j) {
@@ -397,11 +392,12 @@ DistDriverStats solve_casida_distributed(par::Comm& comm,
 
   DistDriverStats stats;
   stats.energies = std::move(energies);
+  // Busy = this rank's actual CPU cycles (excludes both blocking waits and
+  // time descheduled in favour of other rank-threads; DESIGN.md). Read
+  // before the wall clock, so the CPU interval nests inside the wall one.
+  stats.busy_seconds = cpu.seconds();
   stats.wall_seconds = wall.seconds();
   stats.comm_seconds = comm.comm_seconds();
-  // Busy = this rank's actual CPU cycles (excludes both blocking waits and
-  // time descheduled in favour of other rank-threads; DESIGN.md).
-  stats.busy_seconds = cpu.seconds();
 
   // Aggregate maxima across ranks (fixed phase key order so every rank
   // reduces the same vector).

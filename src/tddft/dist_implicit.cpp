@@ -157,12 +157,8 @@ DistCasidaSolution solve_casida_lobpcg_distributed(
   la::LobpcgOptions opts;
   opts.max_iterations = options.max_iterations;
   opts.tolerance = options.tolerance;
-  // The library solve runs the fused communication-avoiding iteration
-  // (three allreduce rounds instead of legacy's seven); callers needing
-  // the legacy schedule call dist_lobpcg directly.
   la::LobpcgResult r =
-      par::dist_lobpcg(comm, apply, prec, std::move(x0), opts,
-                       par::GramReduction::kFused);
+      par::dist_lobpcg(comm, apply, prec, std::move(x0), opts);
 
   DistCasidaSolution solution;
   solution.energies = std::move(r.eigenvalues);

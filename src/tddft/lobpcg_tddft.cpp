@@ -1,5 +1,6 @@
 #include "tddft/lobpcg_tddft.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.hpp"
@@ -47,20 +48,39 @@ la::RealMatrix make_initial_guess(const std::vector<Real>& d, Index k,
   return x;
 }
 
+/// LOBPCG on num_states plus up to as many guard columns (within the
+/// 3k <= n limit), trimmed to the leading num_states pairs. A block edge
+/// that cuts a near-degenerate cluster (Si8's lowest six excitations agree
+/// to 0.1 meV) makes the iteration count a roundoff lottery; the guard
+/// columns keep the cluster inside the block, and only the leading
+/// columns gate convergence.
+la::LobpcgResult solve_guarded(const la::BlockOperator& apply,
+                               const std::vector<Real>& d,
+                               const TddftEigenOptions& options) {
+  const Index k = options.num_states;
+  const Index n = static_cast<Index>(d.size());
+  const Index columns = std::max(k, std::min(2 * k, n / 3));
+  la::LobpcgOptions opts;
+  opts.max_iterations = options.max_iterations;
+  opts.tolerance = options.tolerance;
+  opts.converged_columns = k;
+  la::LobpcgResult r =
+      la::lobpcg(apply, make_gap_preconditioner(d),
+                 make_initial_guess(d, columns, options.seed), opts);
+  r.eigenvalues.resize(static_cast<std::size_t>(k));
+  r.residual_norms.resize(static_cast<std::size_t>(k));
+  r.eigenvectors = la::to_matrix<Real>(r.eigenvectors.view().cols_block(0, k));
+  return r;
+}
+
 }  // namespace
 
 la::LobpcgResult solve_casida_lobpcg(const ImplicitHamiltonian& h,
                                      const TddftEigenOptions& options) {
-  const std::vector<Real>& d = h.diagonal_d();
   la::BlockOperator apply = [&h](la::RealConstView x, la::RealView y) {
     h.apply(x, y);
   };
-  la::LobpcgOptions opts;
-  opts.max_iterations = options.max_iterations;
-  opts.tolerance = options.tolerance;
-  return la::lobpcg(apply, make_gap_preconditioner(d),
-                    make_initial_guess(d, options.num_states, options.seed),
-                    opts);
+  return solve_guarded(apply, h.diagonal_d(), options);
 }
 
 la::DavidsonResult solve_casida_davidson(const ImplicitHamiltonian& h,
@@ -84,12 +104,7 @@ la::LobpcgResult solve_casida_lobpcg_dense(const la::RealMatrix& h,
     la::gemm(la::Trans::kNo, la::Trans::kNo, Real{1}, h.view(), x, Real{0},
              y);
   };
-  la::LobpcgOptions opts;
-  opts.max_iterations = options.max_iterations;
-  opts.tolerance = options.tolerance;
-  return la::lobpcg(apply, make_gap_preconditioner(d),
-                    make_initial_guess(d, options.num_states, options.seed),
-                    opts);
+  return solve_guarded(apply, d, options);
 }
 
 }  // namespace lrt::tddft

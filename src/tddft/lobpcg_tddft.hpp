@@ -26,7 +26,9 @@ struct TddftEigenOptions {
   EigenMethod method = EigenMethod::kLobpcg;
 };
 
-/// Implicit-operator path (Table 4 version (5)).
+/// Implicit-operator path (Table 4 version (5)). Iterates up to
+/// 2 * num_states columns, the trailing ones as guard columns that need
+/// not converge, and returns exactly the num_states lowest pairs.
 la::LobpcgResult solve_casida_lobpcg(const ImplicitHamiltonian& h,
                                      const TddftEigenOptions& options);
 

@@ -1,10 +1,11 @@
 // Communication-avoiding primitives: the single-round allreduce, the
 // nonblocking collectives and the overlapped transpose built on them, the
 // slab-decomposed distributed FFT, the batched small-block GEMM, and the
-// fused-reduction LOBPCG iteration. Every replacement here claims bitwise
-// identity with the schedule it displaces (or, for the fused LOBPCG,
-// with its per-block twin), so these tests compare exactly — no
-// tolerances except where a kernel legitimately reassociates.
+// three-round LOBPCG iteration. Every replacement here claims bitwise
+// identity with the schedule it displaces (or, for LOBPCG, the serial
+// solve with the one-rank distributed one), so these tests compare
+// exactly — no tolerances except where a kernel legitimately
+// reassociates.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -361,8 +362,8 @@ TEST(GemmMany, BitwiseMatchesPackedGemmPerItem) {
 }
 
 TEST(GemmMany, TransposedGramBlocksMatchGemm) {
-  // The fused LOBPCG's Gram assembly shape: A^T B with tall skinny
-  // operands, several column blocks against a shared right-hand side.
+  // A block-row Gram assembly: A^T B with tall skinny operands, several
+  // column blocks against a shared right-hand side.
   Rng rng(29);
   const Index rows = 400, n = 9;
   const la::RealMatrix b = la::RealMatrix::random_normal(rows, n, rng);
@@ -409,8 +410,7 @@ DenseProblem make_dense_problem(Index n, Index k) {
   return prob;
 }
 
-la::LobpcgResult run_dist_lobpcg(int p, const DenseProblem& prob,
-                                 par::GramReduction reduction) {
+la::LobpcgResult run_dist_lobpcg(int p, const DenseProblem& prob) {
   const Index n = prob.a.rows();
   la::LobpcgResult out;
   par::run(p, [&](par::Comm& comm) {
@@ -437,44 +437,21 @@ la::LobpcgResult run_dist_lobpcg(int p, const DenseProblem& prob,
     la::LobpcgOptions opts;
     opts.tolerance = 1e-9;
     opts.max_iterations = 400;
-    const la::LobpcgResult r = par::dist_lobpcg(
+    la::LobpcgResult r = par::dist_lobpcg(
         comm, apply, nullptr,
-        la::to_matrix<Real>(prob.x0.view().rows_block(off, cnt)), opts,
-        reduction);
-    if (comm.rank() == 0) {
-      out.converged = r.converged;
-      out.iterations = r.iterations;
-      out.eigenvalues = r.eigenvalues;
-    }
+        la::to_matrix<Real>(prob.x0.view().rows_block(off, cnt)), opts);
+    if (comm.rank() == 0) out = std::move(r);
   });
   return out;
 }
 
 class FusedLobpcgSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(FusedLobpcgSweep, FusedBitwiseMatchesPerBlockTwin) {
-  const int p = GetParam();
-  const DenseProblem prob = make_dense_problem(48, 3);
-  const la::LobpcgResult fused =
-      run_dist_lobpcg(p, prob, par::GramReduction::kFused);
-  const la::LobpcgResult per_block =
-      run_dist_lobpcg(p, prob, par::GramReduction::kPerBlock);
-  // The fused round concatenates the same locally-reduced blocks into
-  // one payload; elementwise reduction over the same tree makes the two
-  // schedules bitwise identical, iteration for iteration.
-  EXPECT_EQ(fused.converged, per_block.converged);
-  EXPECT_EQ(fused.iterations, per_block.iterations);
-  ASSERT_EQ(fused.eigenvalues.size(), per_block.eigenvalues.size());
-  for (std::size_t j = 0; j < fused.eigenvalues.size(); ++j) {
-    EXPECT_EQ(fused.eigenvalues[j], per_block.eigenvalues[j]) << "p=" << p;
-  }
-}
-
 TEST_P(FusedLobpcgSweep, FusedMatchesDenseReference) {
   const int p = GetParam();
   const DenseProblem prob = make_dense_problem(48, 3);
   const la::LobpcgResult fused =
-      run_dist_lobpcg(p, prob, par::GramReduction::kFused);
+      run_dist_lobpcg(p, prob);
   EXPECT_TRUE(fused.converged) << "p=" << p;
   for (std::size_t j = 0; j < fused.eigenvalues.size(); ++j) {
     EXPECT_NEAR(fused.eigenvalues[j], prob.dense.values[j], 1e-6)
@@ -484,6 +461,35 @@ TEST_P(FusedLobpcgSweep, FusedMatchesDenseReference) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, FusedLobpcgSweep,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(FusedLobpcg, SerialSolveBitwiseMatchesOneRank) {
+  // One iteration body serves both entry points; at one rank the
+  // allreduce hook leaves every partial sum as it is, so the serial solve
+  // and the distributed one agree bit for bit, iteration for iteration.
+  const DenseProblem prob = make_dense_problem(48, 3);
+  la::LobpcgOptions opts;
+  opts.tolerance = 1e-9;
+  opts.max_iterations = 400;
+  const la::LobpcgResult serial = la::lobpcg(
+      [&prob](la::RealConstView x, la::RealView y) {
+        la::gemm(la::Trans::kNo, la::Trans::kNo, Real{1}, prob.a.view(), x,
+                 Real{0}, y);
+      },
+      nullptr, prob.x0, opts);
+  const la::LobpcgResult dist = run_dist_lobpcg(1, prob);
+  EXPECT_TRUE(serial.converged);
+  EXPECT_EQ(serial.converged, dist.converged);
+  EXPECT_EQ(serial.iterations, dist.iterations);
+  EXPECT_EQ(serial.eigenvalues, dist.eigenvalues);
+  EXPECT_EQ(serial.residual_norms, dist.residual_norms);
+  ASSERT_EQ(serial.eigenvectors.rows(), dist.eigenvectors.rows());
+  ASSERT_EQ(serial.eigenvectors.cols(), dist.eigenvectors.cols());
+  for (Index i = 0; i < serial.eigenvectors.rows(); ++i) {
+    for (Index j = 0; j < serial.eigenvectors.cols(); ++j) {
+      EXPECT_EQ(serial.eigenvectors(i, j), dist.eigenvectors(i, j));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace lrt

@@ -118,6 +118,36 @@ TEST(Lobpcg, RejectsOversizedBlock) {
                Error);
 }
 
+TEST(Lobpcg, ConvergedColumnsGateOnlyLeadingColumns) {
+  const Index n = 120, k = 6;
+  Rng rng(5);
+  const RealMatrix a = random_symmetric(n, rng);
+  const RealMatrix x0 = RealMatrix::random_normal(n, k, rng);
+  LobpcgOptions opts;
+  opts.tolerance = 1e-9;
+  opts.max_iterations = 400;
+  const LobpcgResult all = lobpcg(dense_operator(a), nullptr, x0, opts);
+  opts.converged_columns = 2;
+  const LobpcgResult leading = lobpcg(dense_operator(a), nullptr, x0, opts);
+
+  ASSERT_TRUE(all.converged);
+  ASSERT_TRUE(leading.converged);
+  EXPECT_LT(leading.iterations, all.iterations);
+  ASSERT_EQ(leading.residual_norms.size(), static_cast<std::size_t>(k));
+  const auto within = [&](Index j) {
+    const std::size_t c = static_cast<std::size_t>(j);
+    return leading.residual_norms[c] <=
+           opts.tolerance *
+               std::max<Real>(1.0, std::abs(leading.eigenvalues[c]));
+  };
+  EXPECT_TRUE(within(0));
+  EXPECT_TRUE(within(1));
+  // The trailing columns stopped short of the tolerance and still passed.
+  bool trailing_open = false;
+  for (Index j = 2; j < k; ++j) trailing_open = trailing_open || !within(j);
+  EXPECT_TRUE(trailing_open);
+}
+
 TEST(Lobpcg, ReportsResidualNorms) {
   const Index n = 40;
   Rng rng(3);

@@ -1,11 +1,10 @@
 // Distributed matrix machinery: scatter/gather, redistribute (pdgemr2d
-// analog), row<->column transposes, distributed GEMM/Gram, the pipelined
-// reduction, and the distributed eigensolver.
+// analog), row<->column transposes, the pipelined reduction, and the
+// distributed eigensolver.
 #include <gtest/gtest.h>
 
 #include "la/blas.hpp"
 #include "la/eig.hpp"
-#include "par/distblas.hpp"
 #include "par/disteig.hpp"
 #include "par/distmatrix.hpp"
 #include "par/pipeline.hpp"
@@ -126,41 +125,6 @@ TEST_P(DistSweep, RowColTransposeRoundTrip) {
     const la::RealMatrix back =
         col_block_to_row_block(comm, my_cols.view(), m, n);
     EXPECT_LT(la::max_abs_diff(back.view(), my_rows), 1e-14);
-  });
-}
-
-TEST_P(DistSweep, DistGemmTnMatchesSerial) {
-  const int p = GetParam();
-  run(p, [p](Comm& comm) {
-    const Index m = 20, ka = 5, kb = 4;
-    Rng rng(11);
-    const la::RealMatrix a = la::RealMatrix::random_normal(m, ka, rng);
-    const la::RealMatrix b = la::RealMatrix::random_normal(m, kb, rng);
-    const BlockPartition rows(m, p);
-    const la::RealMatrix c = dist_gemm_tn(
-        comm,
-        a.view().rows_block(rows.offset(comm.rank()), rows.count(comm.rank())),
-        b.view().rows_block(rows.offset(comm.rank()), rows.count(comm.rank())));
-    const la::RealMatrix expected =
-        la::gemm(la::Trans::kYes, la::Trans::kNo, a.view(), b.view());
-    EXPECT_LT(la::max_abs_diff(c.view(), expected.view()), 1e-10);
-  });
-}
-
-TEST_P(DistSweep, DistGramAndNorm) {
-  const int p = GetParam();
-  run(p, [p](Comm& comm) {
-    const Index m = 18, n = 4;
-    Rng rng(12);
-    const la::RealMatrix a = la::RealMatrix::random_normal(m, n, rng);
-    const BlockPartition rows(m, p);
-    const auto local = a.view().rows_block(rows.offset(comm.rank()),
-                                           rows.count(comm.rank()));
-    const la::RealMatrix g = dist_gram(comm, local);
-    EXPECT_LT(la::max_abs_diff(g.view(), la::gram(a.view()).view()), 1e-10);
-    EXPECT_NEAR(dist_frobenius_norm(comm, local),
-                la::frobenius_norm(a.view()), 1e-10);
-    EXPECT_NEAR(dist_sum(comm, 1.0), double(p), 1e-14);
   });
 }
 

@@ -1,7 +1,10 @@
 // Excited-state LOBPCG (paper Algorithm 2) vs dense diagonalization.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dft/synthetic.hpp"
+#include "la/blas.hpp"
 #include "tddft/casida_isdf.hpp"
 #include "tddft/driver.hpp"
 #include "tddft/lobpcg_tddft.hpp"
@@ -51,6 +54,39 @@ TEST(TddftLobpcg, ImplicitMatchesDenseEigenvalues) {
     EXPECT_NEAR(iterative.eigenvalues[static_cast<std::size_t>(j)],
                 dense.energies[static_cast<std::size_t>(j)], 1e-6)
         << "state " << j;
+  }
+}
+
+TEST(TddftLobpcg, ReturnsExactlyNumStatesPairsMatchingDense) {
+  // 20 pairs: the solve iterates 6 columns, 3 of them guard columns, and
+  // hands back only the leading 3 pairs.
+  Solved s = make_solved();
+  const ImplicitHamiltonian h = make_implicit_hamiltonian(
+      energy_differences(s.problem), s.dec, la::to_matrix<Real>(s.m.view()));
+  TddftEigenOptions opts;
+  opts.num_states = 3;
+  opts.tolerance = 1e-9;
+  const la::LobpcgResult r = solve_casida_lobpcg(h, opts);
+  const CasidaSolution dense = diagonalize_dense(s.h_explicit, 3);
+
+  EXPECT_TRUE(r.converged);
+  ASSERT_EQ(r.eigenvalues.size(), 3u);
+  ASSERT_EQ(r.residual_norms.size(), 3u);
+  ASSERT_EQ(r.eigenvectors.rows(), s.problem.ncv());
+  ASSERT_EQ(r.eigenvectors.cols(), 3);
+  const la::RealMatrix hv = la::gemm(la::Trans::kNo, la::Trans::kNo,
+                                     s.h_explicit.view(),
+                                     r.eigenvectors.view());
+  for (Index j = 0; j < 3; ++j) {
+    const Real theta = r.eigenvalues[static_cast<std::size_t>(j)];
+    EXPECT_NEAR(theta, dense.energies[static_cast<std::size_t>(j)], 1e-6)
+        << "state " << j;
+    Real residual = 0;
+    for (Index i = 0; i < hv.rows(); ++i) {
+      const Real e = hv(i, j) - theta * r.eigenvectors(i, j);
+      residual += e * e;
+    }
+    EXPECT_LT(std::sqrt(residual), 1e-6) << "state " << j;
   }
 }
 

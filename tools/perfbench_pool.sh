@@ -8,10 +8,12 @@
 #
 # Builds lrt_perfbench through perfbench/run.py (same build tree, same
 # per-revision oracle cache), then runs it once per --seed 0..39 with
-# --seconds 0.3 --trace 0: a set-up solve plus at least three timed
-# solves, each checked against the oracle. lrt_perfbench maps --seed onto
-# the workload's kept input seeds modulo their count, so 0..39 reaches
-# every kept seed (the first few twice). Prints one line per run and
+# --seconds 0.3 --trace 1: a set-up solve plus at least four solves, each
+# checked against the oracle, half of them traced for the per-layer
+# counters. lrt_perfbench maps --seed onto the workload's kept input seeds
+# modulo their count, so 0..39 reaches every kept seed (the first few
+# twice). Prints one line per run with its Casida LOBPCG iteration count
+# (tddft.eigen_iterations; the cap is 1000), then the pool maximum, and
 # exits 1 if any run failed a solve or did not finish.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,26 +39,37 @@ binary="$(sed -n 1p <<<"$paths")"
 cache="$(sed -n 2p <<<"$paths")"
 
 bad=0
+max_iterations=0
 for seed in $(seq 0 39); do
   if ! line="$("$binary" --workload "$workload" --seed "$seed" \
-                 --seconds 0.3 --trace 0 --cache-dir "$cache" | tail -n 1)"; then
+                 --seconds 0.3 --trace 1 --cache-dir "$cache" | tail -n 1)"; then
     echo "seed $seed: lrt_perfbench exited non-zero"
     bad=$((bad + 1))
     continue
   fi
-  if ! python3 -c '
+  # Prints the run's line, then its iteration count on a line of its own.
+  if ! report="$(python3 -c '
 import json, sys
 seed, doc = sys.argv[1], json.loads(sys.argv[2])
-print("seed %2s -> input seed %2d: %d solves, %d failed, err %.4f meV%s" % (
+iterations = int(doc["per_layer"]["tddft.eigen_iterations"]["value"])
+print("seed %2s -> input seed %2d: %d solves, %d failed, err %.4f meV, "
+      "%d Casida LOBPCG iterations%s" % (
     seed, doc["params"]["input_seed"], doc["attempted"], doc["failed"],
-    doc["end_to_end"]["err_mev"]["value"],
+    doc["end_to_end"]["err_mev"]["value"], iterations,
     "".join("\n    FAILED: " + r for r in doc["failures"])))
+print(iterations)
 sys.exit(1 if doc["failed"] else 0)
-' "$seed" "$line"; then
+' "$seed" "$line")"; then
     bad=$((bad + 1))
+  fi
+  sed '$d' <<<"$report"
+  iterations="$(tail -n 1 <<<"$report")"
+  if [ "$iterations" -gt "$max_iterations" ]; then
+    max_iterations="$iterations"
   fi
 done
 
+echo "perfbench_pool: $workload: at most $max_iterations Casida LOBPCG iterations per solve (cap 1000)"
 if [ "$bad" -ne 0 ]; then
   echo "perfbench_pool: $workload: $bad of 40 runs had failed solves" >&2
   exit 1
