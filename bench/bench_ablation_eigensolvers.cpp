@@ -88,8 +88,7 @@ int main() {
       tddft::solve_full_casida_dense(omega_dense, k);
   const tddft::ImplicitOmega omega(
       tddft::energy_differences(problem), la::to_matrix<Real>(m.view()),
-      la::to_matrix<Real>(dec.psi_v_mu.view()),
-      la::to_matrix<Real>(dec.psi_c_mu.view()));
+      dec.psi_v_mu.view(), dec.psi_c_mu.view());
   Timer t_full;
   const tddft::FullCasidaSolution full_it =
       tddft::solve_full_casida_lobpcg(omega, eopts);

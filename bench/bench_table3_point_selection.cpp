@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "isdf/interpolation.hpp"
+#include "isdf/pairproduct.hpp"
 #include "isdf/kmeans_points.hpp"
 #include "isdf/qrcp_points.hpp"
 #include "obs/bench_report.hpp"
@@ -51,13 +52,17 @@ int main() {
         problem.grid, problem.psi_v.view(), problem.psi_c.view(), nmu, {});
     const double km_s = t3.seconds();
 
-    const la::RealMatrix theta_qrcp = isdf::interpolation_vectors(
-        problem.psi_v.view(), problem.psi_c.view(), p_qrcp);
+    const auto fit = [&](const std::vector<Index>& points) {
+      return isdf::interpolation_vectors(
+          problem.psi_v.view(), problem.psi_c.view(),
+          isdf::sample_rows(problem.psi_v.view(), points).view(),
+          isdf::sample_rows(problem.psi_c.view(), points).view());
+    };
+    const la::RealMatrix theta_qrcp = fit(p_qrcp);
     const Real err_qrcp = isdf::isdf_relative_error(
         problem.psi_v.view(), problem.psi_c.view(), p_qrcp,
         theta_qrcp.view());
-    const la::RealMatrix theta_km = isdf::interpolation_vectors(
-        problem.psi_v.view(), problem.psi_c.view(), km.points);
+    const la::RealMatrix theta_km = fit(km.points);
     const Real err_km = isdf::isdf_relative_error(
         problem.psi_v.view(), problem.psi_c.view(), km.points,
         theta_km.view());

@@ -74,8 +74,15 @@ int main(int argc, char** argv) {
         .cell(spec.strengths[i], 5);
   }
   table.print();
-  std::printf("\nnaive %.2f s vs ISDF-LOBPCG %.2f s  ->  speedup %.2fx\n",
-              ref.seconds_total, accel.seconds_total,
-              ref.seconds_total / accel.seconds_total);
+  // At the default Ncv = Nv·Nc = 48 the dense Casida matrix is tiny, so building it
+  // and calling SYEV beats the K-Means + ISDF + LOBPCG setup; the low-rank
+  // path pays off only at the paper's sizes (Ncv in the thousands).
+  std::printf(
+      "\nNcv = %td: naive (dense SYEV) %.3f s, ISDF-LOBPCG %.3f s "
+      "(Nmu = %td, %td LOBPCG iterations).\n"
+      "At this size the dense oracle is expected to win; the ISDF path "
+      "pays off at Ncv in the thousands.\n",
+      problem.ncv(), ref.seconds_total, accel.seconds_total, accel.nmu_used,
+      accel.eigen_iterations);
   return 0;
 }

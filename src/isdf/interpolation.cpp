@@ -8,19 +8,21 @@ namespace lrt::isdf {
 
 la::RealMatrix interpolation_vectors(la::RealConstView psi_v,
                                      la::RealConstView psi_c,
-                                     const std::vector<Index>& points) {
+                                     la::RealConstView psi_v_mu,
+                                     la::RealConstView psi_c_mu) {
   LRT_CHECK(psi_v.rows() == psi_c.rows(), "orbital grids differ");
+  LRT_CHECK(psi_v_mu.rows() == psi_c_mu.rows() &&
+                psi_v_mu.cols() == psi_v.cols() &&
+                psi_c_mu.cols() == psi_c.cols(),
+            "sampled orbital shapes do not match the orbitals");
   const Index nr = psi_v.rows();
-  const Index nmu = static_cast<Index>(points.size());
-
-  const la::RealMatrix psi_v_mu = sample_rows(psi_v, points);
-  const la::RealMatrix psi_c_mu = sample_rows(psi_c, points);
+  const Index nmu = psi_v_mu.rows();
 
   // Z Cᵀ via the separable Hadamard structure.
   const la::RealMatrix av =
-      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_v, psi_v_mu.view());
+      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_v, psi_v_mu);
   const la::RealMatrix ac =
-      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c, psi_c_mu.view());
+      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c, psi_c_mu);
   la::RealMatrix zct(nr, nmu);
 #pragma omp parallel for schedule(static)
   for (Index r = 0; r < nr; ++r) {
@@ -31,10 +33,10 @@ la::RealMatrix interpolation_vectors(la::RealConstView psi_v,
   }
 
   // C Cᵀ likewise (Nμ x Nμ).
-  const la::RealMatrix gv = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_v_mu.view(), psi_v_mu.view());
-  const la::RealMatrix gc = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_c_mu.view(), psi_c_mu.view());
+  const la::RealMatrix gv =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_v_mu, psi_v_mu);
+  const la::RealMatrix gc =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c_mu, psi_c_mu);
   la::RealMatrix cct(nmu, nmu);
   for (Index m = 0; m < nmu; ++m) {
     for (Index l = 0; l < nmu; ++l) cct(m, l) = gv(m, l) * gc(m, l);

@@ -16,10 +16,16 @@
 
 namespace lrt::isdf {
 
-/// Fast separable evaluation of Θ (Nr x Nμ).
+/// Fast separable evaluation of Θ for a row slab: `psi_v` / `psi_c` are
+/// any contiguous rows of the orbitals (all Nr of them serially, a rank's
+/// grid slab when distributed) and `psi_v_mu` / `psi_c_mu` the sampled
+/// rows at the interpolation points (Nμ x Nv / Nc). Returns the matching
+/// rows of Θ (slab rows x Nμ). C Cᵀ depends only on the samples, so every
+/// slab solves against the same Gram matrix.
 la::RealMatrix interpolation_vectors(la::RealConstView psi_v,
                                      la::RealConstView psi_c,
-                                     const std::vector<Index>& points);
+                                     la::RealConstView psi_v_mu,
+                                     la::RealConstView psi_c_mu);
 
 /// Reference implementation materializing Z (for validation tests).
 la::RealMatrix interpolation_vectors_direct(la::RealConstView psi_v,

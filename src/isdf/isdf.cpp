@@ -39,7 +39,8 @@ IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
     if (options.build_coefficients) {
       result.c = coefficient_matrix(psi_v, psi_c, result.points);
     }
-    result.theta = interpolation_vectors(psi_v, psi_c, result.points);
+    result.theta = interpolation_vectors(psi_v, psi_c, result.psi_v_mu.view(),
+                                         result.psi_c_mu.view());
     if (profiler) profiler->add("interp_vectors", timer.seconds());
   }
   return result;

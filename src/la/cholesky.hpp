@@ -13,8 +13,11 @@ namespace lrt::la {
 /// gemm.
 RealMatrix cholesky(RealConstView a);
 
-/// Like cholesky() but returns false instead of throwing when the matrix
-/// is not numerically positive definite; `l` is left unspecified then.
+/// The rank-revealing variant: like cholesky() but returns false instead
+/// of throwing when the matrix is not numerically positive definite, i.e.
+/// when a pivot is not above n·ε·max_i A_ii (element-wise and blocked
+/// factorization alike); `l` is left unspecified then. The threshold
+/// makes the verdict on a singular Gram matrix independent of roundoff.
 bool try_cholesky(RealConstView a, RealMatrix& l);
 
 /// Solves A X = B given L from cholesky(A); B is overwritten with X.

@@ -19,19 +19,20 @@ using Blocks = std::array<RealConstView, 3>;
 
 /// Cholesky of a (possibly rank-deficient) Gram matrix: regularizes the
 /// diagonal instead of a QR fallback (which would need the full block on
-/// one rank).
+/// one rank). Any positive pivot is accepted, so a nearly dependent block
+/// is still normalized; try_cholesky's rank test would refuse it.
 RealMatrix gram_cholesky(const RealMatrix& g) {
-  RealMatrix l;
-  if (!try_cholesky(g.view(), l)) {
+  try {
+    return cholesky(g.view());
+  } catch (const Error&) {
     RealMatrix g2 = g;
     Real trace = 0;
     for (Index i = 0; i < g2.rows(); ++i) trace += g2(i, i);
     for (Index i = 0; i < g2.rows(); ++i) {
       g2(i, i) += 1e-12 * std::max(trace, Real{1});
     }
-    l = cholesky(g2.view());
+    return cholesky(g2.view());
   }
-  return l;
 }
 
 void symmetrize(RealView a) {

@@ -1,20 +1,21 @@
 // Locally Optimal Block Preconditioned Conjugate Gradient (LOBPCG).
 //
 // Generic blocked eigensolver for the lowest k eigenpairs of a symmetric
-// operator given only as a block apply Y = H X. Used three times in this
+// operator given only as a block apply Y = H X. Its callers in this
 // library, matching the paper:
 //  - ground-state Kohn-Sham bands (dft/lobpcg_gs) with a kinetic-energy
 //    preconditioner,
+//  - the full-response Ω of tddft/full_casida, and
 //  - the LR-TDDFT Casida problem (tddft/lobpcg_tddft, paper Algorithm 2)
 //    with the orbital-energy-gap preconditioner of Eq (17), where H is the
-//    *implicitly factored* ISDF Hamiltonian, and
-//  - the same problem row-slab distributed over ranks (par/dist_lobpcg).
+//    *implicitly factored* ISDF Hamiltonian; with all rows on one caller
+//    (la::lobpcg) or row-slab distributed over ranks (par::dist_lobpcg).
 //
 // The iteration keeps the subspace S = [X, W, P] (current block,
 // preconditioned residuals, previous search directions), solves the
 // 3k x 3k projected problem Hs C = Θ Gs C (paper Eq 15-18), and never
 // re-applies H to X or P — their images are updated by the same linear
-// combinations, so each iteration costs exactly one block apply. All three
+// combinations, so each iteration costs exactly one block apply. All
 // callers run the one body, lobpcg_iterate(); a distributed caller passes
 // a sum-reduction hook, and every inner product of the tall blocks travels
 // in one of three reduction rounds per iteration (docs/PERFORMANCE.md §5).

@@ -1,21 +1,18 @@
 #include "tddft/dist_driver.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "ft/checkpoint.hpp"
+#include "isdf/interpolation.hpp"
 #include "isdf/pairproduct.hpp"
 #include "kmeans/dist_kmeans.hpp"
 #include "la/blas.hpp"
-#include "la/lstsq.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "par/disteig.hpp"
 #include "par/pipeline.hpp"
 #include "par/transpose.hpp"
 #include "obs/phase_registry.hpp"
-#include "tddft/dist_implicit.hpp"
 
 namespace lrt::tddft {
 namespace {
@@ -250,12 +247,7 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   const Index my_count = rows.count(me);
   const Index my_offset = rows.offset(me);
 
-  Index nmu = options.nmu;
-  if (nmu <= 0) {
-    nmu = static_cast<Index>(
-        std::llround(options.nmu_ratio * static_cast<Real>(nv + nc)));
-  }
-  nmu = std::min({nmu, problem.ncv(), nr});
+  const Index nmu = derive_nmu(options.nmu, options.nmu_ratio, problem);
 
   const la::RealConstView psi_v_loc = my_rows(problem.psi_v.view(), rows, me);
   const la::RealConstView psi_c_loc = my_rows(problem.psi_c.view(), rows, me);
@@ -313,27 +305,8 @@ std::vector<Real> solve_implicit(par::Comm& comm,
 
   // Local rows of Θ via the separable products (paper Eq 10).
   PhaseTimer t_gemm(clock, obs::phase::kGemm);
-  const la::RealMatrix av = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_v_loc, psi_v_mu.view());
-  const la::RealMatrix ac = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_c_loc, psi_c_mu.view());
-  la::RealMatrix zct_loc(my_count, nmu);
-  for (Index r = 0; r < my_count; ++r) {
-    const Real* a = av.row_ptr(r);
-    const Real* b = ac.row_ptr(r);
-    Real* out = zct_loc.row_ptr(r);
-    for (Index m = 0; m < nmu; ++m) out[m] = a[m] * b[m];
-  }
-  const la::RealMatrix gv = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_v_mu.view(), psi_v_mu.view());
-  const la::RealMatrix gc = la::gemm(la::Trans::kNo, la::Trans::kYes,
-                                     psi_c_mu.view(), psi_c_mu.view());
-  la::RealMatrix cct(nmu, nmu);
-  for (Index m = 0; m < nmu; ++m) {
-    for (Index l = 0; l < nmu; ++l) cct(m, l) = gv(m, l) * gc(m, l);
-  }
-  const la::RealMatrix theta_loc =
-      la::solve_gram_from_right(zct_loc.view(), cct.view());
+  const la::RealMatrix theta_loc = isdf::interpolation_vectors(
+      psi_v_loc, psi_c_loc, psi_v_mu.view(), psi_c_mu.view());
   t_gemm.stop();
 
   // M = Θᵀ K Θ dv: kernel sandwich + distributed Gram.
@@ -356,15 +329,13 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   // row-block partitioned over the pair space (valence blocks), the 3k x
   // 3k projected problem is replicated — the paper's parallel layout.
   PhaseTimer t_diag(clock, obs::phase::kDiag);
-  const DistImplicitHamiltonian h(comm, energy_differences(problem),
-                                  std::move(m_mat), psi_v_mu.view(),
-                                  psi_c_mu.view());
+  const ImplicitHamiltonian h(energy_differences(problem), std::move(m_mat),
+                              psi_v_mu.view(), psi_c_mu.view(), &comm);
   TddftEigenOptions eig = options.eigen;
   eig.num_states = options.num_states;
-  const DistCasidaSolution sol =
-      solve_casida_lobpcg_distributed(comm, h, eig);
+  la::LobpcgResult sol = solve_casida_lobpcg(h, eig);
   t_diag.stop();
-  return sol.energies;
+  return std::move(sol.eigenvalues);
 }
 
 }  // namespace

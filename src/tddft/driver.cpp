@@ -8,18 +8,6 @@
 namespace lrt::tddft {
 namespace {
 
-Index derive_nmu(const DriverOptions& options, const CasidaProblem& problem) {
-  Index nmu = options.nmu;
-  if (nmu <= 0) {
-    nmu = static_cast<Index>(std::llround(
-        options.nmu_ratio * static_cast<Real>(problem.nv() + problem.nc())));
-  }
-  // Nμ can never exceed the pair rank or the grid size.
-  nmu = std::min({nmu, problem.ncv(), problem.nr()});
-  LRT_CHECK(nmu >= 1, "derived Nμ < 1");
-  return nmu;
-}
-
 /// Closed-form memory estimates of paper Table 4 (bytes, double words).
 double memory_estimate(Version version, Index nr, Index nv, Index nc,
                        Index nmu) {
@@ -42,6 +30,17 @@ double memory_estimate(Version version, Index nr, Index nv, Index nc,
 }
 
 }  // namespace
+
+Index derive_nmu(Index nmu, Real nmu_ratio, const CasidaProblem& problem) {
+  if (nmu <= 0) {
+    nmu = static_cast<Index>(std::llround(
+        nmu_ratio * static_cast<Real>(problem.nv() + problem.nc())));
+  }
+  // Nμ can never exceed the pair rank or the grid size.
+  nmu = std::min({nmu, problem.ncv(), problem.nr()});
+  LRT_CHECK(nmu >= 1, "derived Nμ < 1");
+  return nmu;
+}
 
 const char* version_name(Version version) {
   switch (version) {
@@ -88,7 +87,7 @@ DriverResult solve_casida(const CasidaProblem& problem,
 
   // All ISDF versions: decompose first.
   isdf::IsdfOptions isdf_opts = options.isdf;
-  isdf_opts.nmu = derive_nmu(options, problem);
+  isdf_opts.nmu = derive_nmu(options.nmu, options.nmu_ratio, problem);
   isdf_opts.method = (version == Version::kQrcpIsdf)
                          ? isdf::PointMethod::kQrcp
                          : isdf::PointMethod::kKmeans;

@@ -50,6 +50,11 @@ struct DriverResult {
   Index eigen_iterations = 0;        ///< LOBPCG iterations (0 for SYEV)
 };
 
+/// Interpolation point count shared by both drivers: `nmu` when positive,
+/// else nmu_ratio * (Nv + Nc) rounded, capped by the pair rank and the
+/// grid size. Throws lrt::Error when the result is < 1.
+Index derive_nmu(Index nmu, Real nmu_ratio, const CasidaProblem& problem);
+
 /// Runs one version end to end on a prepared problem.
 DriverResult solve_casida(const CasidaProblem& problem,
                           const DriverOptions& options);

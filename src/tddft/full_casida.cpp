@@ -4,7 +4,6 @@
 
 #include "la/blas.hpp"
 #include "la/eig.hpp"
-#include "common/random.hpp"
 
 namespace lrt::tddft {
 namespace {
@@ -64,9 +63,9 @@ la::RealMatrix build_omega_isdf(const CasidaProblem& problem,
 }
 
 ImplicitOmega::ImplicitOmega(std::vector<Real> d, la::RealMatrix m,
-                             la::RealMatrix psi_v_mu,
-                             la::RealMatrix psi_c_mu)
-    : implicit_(d, std::move(m), std::move(psi_v_mu), std::move(psi_c_mu)),
+                             la::RealConstView psi_v_mu,
+                             la::RealConstView psi_c_mu)
+    : implicit_(d, std::move(m), psi_v_mu, psi_c_mu),
       d_(std::move(d)) {
   sqrt_d_.resize(d_.size());
   for (std::size_t i = 0; i < d_.size(); ++i) {
@@ -143,23 +142,13 @@ FullCasidaSolution solve_full_casida_lobpcg(const ImplicitOmega& omega,
     }
   };
 
-  // Seed on the smallest D pairs, as in the TDA solver.
-  std::vector<Index> order(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](Index a, Index b) {
-    return d[static_cast<std::size_t>(a)] < d[static_cast<std::size_t>(b)];
-  });
-  Rng rng(options.seed);
-  la::RealMatrix x0(n, options.num_states);
-  for (Index j = 0; j < options.num_states; ++j) {
-    x0(order[static_cast<std::size_t>(j)], j) = 1;
-    for (Index i = 0; i < n; ++i) x0(i, j) += Real{0.01} * rng.normal();
-  }
-
   la::LobpcgOptions opts;
   opts.max_iterations = options.max_iterations;
   opts.tolerance = options.tolerance;
-  const la::LobpcgResult r = la::lobpcg(apply, prec, std::move(x0), opts);
+  // Seeded on the smallest D pairs, as in the TDA solver.
+  const la::LobpcgResult r = la::lobpcg(
+      apply, prec,
+      casida_initial_guess(d, options.num_states, options.seed, 0, n), opts);
 
   FullCasidaSolution solution;
   for (const Real w2 : r.eigenvalues) {

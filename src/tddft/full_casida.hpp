@@ -33,7 +33,7 @@ la::RealMatrix build_omega_isdf(const CasidaProblem& problem,
 class ImplicitOmega {
  public:
   ImplicitOmega(std::vector<Real> d, la::RealMatrix m,
-                la::RealMatrix psi_v_mu, la::RealMatrix psi_c_mu);
+                la::RealConstView psi_v_mu, la::RealConstView psi_c_mu);
 
   Index dimension() const { return implicit_.dimension(); }
   const std::vector<Real>& diagonal_d() const { return implicit_.diagonal_d(); }

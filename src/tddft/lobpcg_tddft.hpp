@@ -26,9 +26,20 @@ struct TddftEigenOptions {
   EigenMethod method = EigenMethod::kLobpcg;
 };
 
-/// Implicit-operator path (Table 4 version (5)). Iterates up to
-/// 2 * num_states columns, the trailing ones as guard columns that need
-/// not converge, and returns exactly the num_states lowest pairs.
+/// Initial guess: unit vectors on the k smallest energy-difference pairs
+/// of the full diagonal `d` plus a small random perturbation (the
+/// physically dominant transitions). Order and noise are the same on every
+/// rank; the caller keeps its `rows` rows starting at global row `row0`.
+la::RealMatrix casida_initial_guess(const std::vector<Real>& d, Index k,
+                                    unsigned seed, Index row0, Index rows);
+
+/// Implicit-operator path (Table 4 version (5), paper Algorithm 2).
+/// Iterates up to 2 * num_states columns, the trailing ones as guard
+/// columns that need not converge, and returns exactly the num_states
+/// lowest pairs. When `h` was built on a communicator the solve is
+/// par::dist_lobpcg over the ranks' pair rows and the returned
+/// eigenvectors are this rank's rows; otherwise la::lobpcg. A one-rank
+/// communicator gives the same result bit for bit.
 la::LobpcgResult solve_casida_lobpcg(const ImplicitHamiltonian& h,
                                      const TddftEigenOptions& options);
 
@@ -39,7 +50,8 @@ la::LobpcgResult solve_casida_lobpcg_dense(const la::RealMatrix& h,
                                            const TddftEigenOptions& options);
 
 /// Davidson variant on the implicit operator (ablation; same
-/// preconditioner and physically seeded start).
+/// preconditioner and physically seeded start). Serial only: `h` must
+/// hold every row.
 la::DavidsonResult solve_casida_davidson(const ImplicitHamiltonian& h,
                                          const TddftEigenOptions& options);
 

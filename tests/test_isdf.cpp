@@ -26,6 +26,11 @@ struct OrbitalFixture {
   }
   la::RealConstView v() const { return orbs.psi_v.view(); }
   la::RealConstView c() const { return orbs.psi_c.view(); }
+  /// Θ fitted on all rows at `points`.
+  la::RealMatrix theta(const std::vector<Index>& points) const {
+    return interpolation_vectors(v(), c(), sample_rows(v(), points).view(),
+                                 sample_rows(c(), points).view());
+  }
 };
 
 TEST(PairProduct, MatchesManualOuterProducts) {
@@ -90,9 +95,8 @@ TEST(QrcpPoints, RandomizedApproximatesPlainQuality) {
   plain.randomized = false;
   const auto p_plain = select_points_qrcp(f.v(), f.c(), nmu, plain);
   const auto p_rand = select_points_qrcp(f.v(), f.c(), nmu, {});
-  const la::RealMatrix th_plain =
-      interpolation_vectors(f.v(), f.c(), p_plain);
-  const la::RealMatrix th_rand = interpolation_vectors(f.v(), f.c(), p_rand);
+  const la::RealMatrix th_plain = f.theta(p_plain);
+  const la::RealMatrix th_rand = f.theta(p_rand);
   const Real e_plain =
       isdf_relative_error(f.v(), f.c(), p_plain, th_plain.view());
   const Real e_rand =
@@ -103,7 +107,7 @@ TEST(QrcpPoints, RandomizedApproximatesPlainQuality) {
 TEST(Interpolation, FastMatchesDirect) {
   OrbitalFixture f;
   const auto points = select_points_qrcp(f.v(), f.c(), 15, {});
-  const la::RealMatrix fast = interpolation_vectors(f.v(), f.c(), points);
+  const la::RealMatrix fast = f.theta(points);
   const la::RealMatrix direct =
       interpolation_vectors_direct(f.v(), f.c(), points);
   EXPECT_LT(la::max_abs_diff(fast.view(), direct.view()),
@@ -117,7 +121,7 @@ TEST(Interpolation, ExactAtInterpolationPoints) {
   // (Θ C) Cᵀ = Z Cᵀ (the normal equations).
   OrbitalFixture f;
   const auto points = select_points_qrcp(f.v(), f.c(), 12, {});
-  const la::RealMatrix theta = interpolation_vectors(f.v(), f.c(), points);
+  const la::RealMatrix theta = f.theta(points);
   const la::RealMatrix z = pair_product_matrix(f.v(), f.c());
   const la::RealMatrix c = coefficient_matrix(f.v(), f.c(), points);
 
@@ -138,7 +142,7 @@ TEST(Isdf, ErrorDecaysWithNmu) {
   Real previous = 1e9;
   for (const Index nmu : {6, 12, 24}) {
     const auto points = select_points_qrcp(f.v(), f.c(), nmu, {});
-    const la::RealMatrix theta = interpolation_vectors(f.v(), f.c(), points);
+    const la::RealMatrix theta = f.theta(points);
     const Real error = isdf_relative_error(f.v(), f.c(), points, theta.view());
     EXPECT_LT(error, previous * 1.10) << "Nμ=" << nmu;
     previous = error;
@@ -147,7 +151,7 @@ TEST(Isdf, ErrorDecaysWithNmu) {
   QrcpPointOptions plain;
   plain.randomized = false;
   const auto points = select_points_qrcp(f.v(), f.c(), 24, plain);
-  const la::RealMatrix theta = interpolation_vectors(f.v(), f.c(), points);
+  const la::RealMatrix theta = f.theta(points);
   EXPECT_LT(isdf_relative_error(f.v(), f.c(), points, theta.view()), 1e-6);
 }
 

@@ -210,17 +210,21 @@ TEST_P(DistKmeansSweep, MatchesSerialObjectiveScale) {
   });
 }
 
-TEST_P(DistKmeansSweep, SingleRankMatchesDistributedExactly) {
+TEST_P(DistKmeansSweep, SingleRankMatchesSerialUpToObjectiveRoundoff) {
   const int p = GetParam();
-  if (p != 1) GTEST_SKIP() << "exact comparison only meaningful at p=1";
+  if (p != 1) GTEST_SKIP() << "serial comparison only meaningful at p=1";
   BlobFixture f;
   KMeansOptions opts;
   opts.seeding = Seeding::kTopWeight;
+  const KMeansResult serial = weighted_kmeans(f.points, f.weights, 5, opts);
   par::run(1, [&](par::Comm& comm) {
     const DistKMeansResult dist =
         dist_weighted_kmeans(comm, f.points, f.weights, 0, 5, opts);
-    EXPECT_EQ(dist.interpolation_points.size(), 5u);
-    EXPECT_GT(dist.objective, 0.0);
+    EXPECT_EQ(dist.interpolation_points, serial.interpolation_points);
+    EXPECT_EQ(dist.iterations, serial.iterations);
+    // Serial K-Means sums its objective in per-OpenMP-thread partials, so
+    // the last bits depend on the thread count; the clustering does not.
+    EXPECT_NEAR(dist.objective, serial.objective, 1e-12 * serial.objective);
   });
 }
 

@@ -37,6 +37,31 @@ TEST(Cholesky, IndefiniteThrows) {
   EXPECT_FALSE(try_cholesky(a.view(), l));
 }
 
+TEST(Cholesky, RejectsPivotBelowRelativeThreshold) {
+  // diag(1, 1e-17): the second pivot is positive but below n·ε·max A_ii,
+  // so the matrix is numerically singular and try_cholesky must refuse it.
+  const RealMatrix a{{1, 0}, {0, 1e-17}};
+  RealMatrix l;
+  EXPECT_FALSE(try_cholesky(a.view(), l));
+
+  // solve_gram_from_right then takes its ridge path: X = B (A + s I)⁻¹
+  // with s = ridge · trace / n, not B A⁻¹ (which would be ~3e17).
+  const RealMatrix b{{2, 3}};
+  const Real ridge = 1e-8;
+  const Real shift = ridge * (1 + 1e-17) / 2;
+  const RealMatrix x = solve_gram_from_right(b.view(), a.view(), ridge);
+  EXPECT_NEAR(x(0, 0), 2 / (1 + shift), 1e-15);
+  EXPECT_NEAR(x(0, 1), 3 / (1e-17 + shift), 1e-6 * (3 / shift));
+
+  // The blocked factorization (order above the crossover) applies the
+  // same threshold to a pivot in its last block.
+  RealMatrix big = RealMatrix::identity(130);
+  big(129, 129) = 1e-17;
+  EXPECT_FALSE(try_cholesky(big.view(), l));
+  big(129, 129) = 1e-10;
+  EXPECT_TRUE(try_cholesky(big.view(), l));
+}
+
 TEST(Cholesky, SolveSpd) {
   Rng rng(2);
   const RealMatrix a = random_spd(10, rng);

@@ -1,4 +1,4 @@
-// Distributed LOBPCG and the distributed implicit Casida operator.
+// Distributed LOBPCG and the implicit Casida operator on a communicator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "par/dist_lobpcg.hpp"
 #include "par/layout.hpp"
 #include "tddft/casida_isdf.hpp"
-#include "tddft/dist_implicit.hpp"
 #include "tddft/driver.hpp"
 
 namespace lrt {
@@ -100,13 +99,43 @@ CasidaPieces make_pieces() {
   return pieces;
 }
 
+tddft::ImplicitHamiltonian make_operator(const CasidaPieces& pieces,
+                                         par::Comm* comm) {
+  return tddft::ImplicitHamiltonian(
+      pieces.d, la::to_matrix<Real>(pieces.m.view()),
+      pieces.dec.psi_v_mu.view(), pieces.dec.psi_c_mu.view(), comm);
+}
+
+TEST(DistImplicit, SolveWithoutCommIsBitIdenticalToOneRankSolve) {
+  const CasidaPieces pieces = make_pieces();
+  tddft::TddftEigenOptions eopts;
+  eopts.num_states = 3;
+  eopts.tolerance = 1e-9;
+  const la::LobpcgResult serial =
+      tddft::solve_casida_lobpcg(make_operator(pieces, nullptr), eopts);
+  ASSERT_TRUE(serial.converged);
+
+  la::LobpcgResult one_rank;
+  par::run(1, [&](par::Comm& comm) {
+    one_rank = tddft::solve_casida_lobpcg(make_operator(pieces, &comm), eopts);
+  });
+  EXPECT_EQ(one_rank.iterations, serial.iterations);
+  EXPECT_EQ(one_rank.converged, serial.converged);
+  EXPECT_EQ(one_rank.eigenvalues, serial.eigenvalues);
+  EXPECT_EQ(one_rank.residual_norms, serial.residual_norms);
+  ASSERT_EQ(one_rank.eigenvectors.rows(), serial.eigenvectors.rows());
+  ASSERT_EQ(one_rank.eigenvectors.cols(), serial.eigenvectors.cols());
+  EXPECT_EQ(la::max_abs_diff(one_rank.eigenvectors.view(),
+                             serial.eigenvectors.view()),
+            0.0);
+}
+
 class DistImplicitSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistImplicitSweep, ApplyMatchesSerialImplicit) {
   const int p = GetParam();
   const CasidaPieces pieces = make_pieces();
-  const tddft::ImplicitHamiltonian serial = tddft::make_implicit_hamiltonian(
-      pieces.d, pieces.dec, la::to_matrix<Real>(pieces.m.view()));
+  const tddft::ImplicitHamiltonian serial = make_operator(pieces, nullptr);
   Rng rng(5);
   const la::RealMatrix x =
       la::RealMatrix::random_normal(pieces.problem.ncv(), 2, rng);
@@ -114,10 +143,8 @@ TEST_P(DistImplicitSweep, ApplyMatchesSerialImplicit) {
   serial.apply(x.view(), y_serial.view());
 
   par::run(p, [&](par::Comm& comm) {
-    const tddft::DistImplicitHamiltonian h(
-        comm, pieces.d, la::to_matrix<Real>(pieces.m.view()),
-        pieces.dec.psi_v_mu.view(), pieces.dec.psi_c_mu.view());
-    const Index row0 = h.valence_offset() * h.nc();
+    const tddft::ImplicitHamiltonian h = make_operator(pieces, &comm);
+    const Index row0 = h.row_offset();
     const Index nl = h.local_dimension();
     la::RealMatrix y_local(nl, 2);
     h.apply(x.view().rows_block(row0, nl), y_local.view());
@@ -130,23 +157,20 @@ TEST_P(DistImplicitSweep, ApplyMatchesSerialImplicit) {
 TEST_P(DistImplicitSweep, DistributedSolveMatchesSerialEnergies) {
   const int p = GetParam();
   const CasidaPieces pieces = make_pieces();
-  const tddft::ImplicitHamiltonian serial = tddft::make_implicit_hamiltonian(
-      pieces.d, pieces.dec, la::to_matrix<Real>(pieces.m.view()));
   tddft::TddftEigenOptions eopts;
   eopts.num_states = 3;
   eopts.tolerance = 1e-9;
   const la::LobpcgResult reference =
-      tddft::solve_casida_lobpcg(serial, eopts);
+      tddft::solve_casida_lobpcg(make_operator(pieces, nullptr), eopts);
 
   par::run(p, [&](par::Comm& comm) {
-    const tddft::DistImplicitHamiltonian h(
-        comm, pieces.d, la::to_matrix<Real>(pieces.m.view()),
-        pieces.dec.psi_v_mu.view(), pieces.dec.psi_c_mu.view());
-    const tddft::DistCasidaSolution sol =
-        solve_casida_lobpcg_distributed(comm, h, eopts);
+    const tddft::ImplicitHamiltonian h = make_operator(pieces, &comm);
+    const la::LobpcgResult sol = tddft::solve_casida_lobpcg(h, eopts);
     EXPECT_TRUE(sol.converged);
+    ASSERT_EQ(sol.eigenvalues.size(), 3u);
+    EXPECT_EQ(sol.eigenvectors.rows(), h.local_dimension());
     for (Index j = 0; j < 3; ++j) {
-      EXPECT_NEAR(sol.energies[static_cast<std::size_t>(j)],
+      EXPECT_NEAR(sol.eigenvalues[static_cast<std::size_t>(j)],
                   reference.eigenvalues[static_cast<std::size_t>(j)], 1e-7)
           << "p=" << comm.size();
     }

@@ -223,5 +223,25 @@ TEST(DistDriver, RejectsUnsupportedVersion) {
   });
 }
 
+TEST(DistDriver, BothDriversRejectDerivedNmuBelowOne) {
+  // nmu = 0 derives Nμ from nmu_ratio; a zero ratio leaves no point to
+  // cluster, and both drivers must refuse rather than run K-Means on 0
+  // clusters.
+  const CasidaProblem problem = make_test_problem();
+  DriverOptions serial;
+  serial.version = Version::kImplicit;
+  serial.nmu_ratio = 0.0;
+  EXPECT_THROW(solve_casida(problem, serial), Error);
+
+  DistDriverOptions dist;
+  dist.version = Version::kImplicit;
+  dist.nmu_ratio = 0.0;
+  EXPECT_THROW(par::run(2,
+                        [&](par::Comm& comm) {
+                          solve_casida_distributed(comm, problem, dist);
+                        }),
+               Error);
+}
+
 }  // namespace
 }  // namespace lrt::tddft

@@ -13,8 +13,8 @@
 # counters. lrt_perfbench maps --seed onto the workload's kept input seeds
 # modulo their count, so 0..39 reaches every kept seed (the first few
 # twice). Prints one line per run with its Casida LOBPCG iteration count
-# (tddft.eigen_iterations; the cap is 1000), then the pool maximum, and
-# exits 1 if any run failed a solve or did not finish.
+# (tddft.eigen_iterations; the cap is 1000), then the pool maximum and
+# median, and exits 1 if any run failed a solve or did not finish.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +39,7 @@ binary="$(sed -n 1p <<<"$paths")"
 cache="$(sed -n 2p <<<"$paths")"
 
 bad=0
-max_iterations=0
+counts=()
 for seed in $(seq 0 39); do
   if ! line="$("$binary" --workload "$workload" --seed "$seed" \
                  --seconds 0.3 --trace 1 --cache-dir "$cache" | tail -n 1)"; then
@@ -64,12 +64,18 @@ sys.exit(1 if doc["failed"] else 0)
   fi
   sed '$d' <<<"$report"
   iterations="$(tail -n 1 <<<"$report")"
-  if [ "$iterations" -gt "$max_iterations" ]; then
-    max_iterations="$iterations"
-  fi
+  if [[ "$iterations" =~ ^[0-9]+$ ]]; then counts+=("$iterations"); fi
 done
 
-echo "perfbench_pool: $workload: at most $max_iterations Casida LOBPCG iterations per solve (cap 1000)"
+# Maximum and median over the runs that reported a count.
+python3 -c '
+import statistics, sys
+counts = [int(c) for c in sys.argv[2:]]
+print("perfbench_pool: %s: at most %d, median %g Casida LOBPCG iterations "
+      "per solve over %d runs (cap 1000)" % (
+    sys.argv[1], max(counts, default=0),
+    statistics.median(counts) if counts else 0, len(counts)))
+' "$workload" "${counts[@]}"
 if [ "$bad" -ne 0 ]; then
   echo "perfbench_pool: $workload: $bad of 40 runs had failed solves" >&2
   exit 1
