@@ -10,6 +10,7 @@
 // decay the paper's Figure 7 plots. Communication volume is also shown
 // (it grows with R — the reason the paper's efficiency falls).
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "tddft/dist_driver.hpp"
@@ -32,8 +33,13 @@ void sweep(const char* name, const tddft::Version version,
       opts.version = version;
       opts.num_states = 4;
       opts.nmu_ratio = 4.0;
-      stats = tddft::solve_casida_distributed(comm, problem, opts);
-      if (comm.rank() == 0) bytes = comm.bytes_sent();
+      tddft::DistDriverStats mine =
+          tddft::solve_casida_distributed(comm, problem, opts);
+      // Every rank returns the same max-over-ranks stats; one writes them.
+      if (comm.rank() == 0) {
+        stats = std::move(mine);
+        bytes = comm.bytes_sent();
+      }
     });
     if (ranks == 1) busy1 = stats.busy_seconds;
     const double efficiency = busy1 / (stats.busy_seconds * ranks);

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -81,7 +82,10 @@ int main(int argc, char** argv) {
       opts.version = tddft::Version::kImplicit;
       opts.num_states = 4;
       opts.nmu_ratio = 4.0;
-      stats = tddft::solve_casida_distributed(comm, problem, opts);
+      tddft::DistDriverStats mine =
+          tddft::solve_casida_distributed(comm, problem, opts);
+      // Every rank returns the same max-over-ranks stats; one writes them.
+      if (comm.rank() == 0) stats = std::move(mine);
     });
     const long long calls = collective_calls();
     gated_calls = calls;

@@ -9,6 +9,7 @@
 //   ./parallel_scaling [--ranks 4] [--nv 10] [--nc 8] [--grid 12]
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -54,7 +55,10 @@ int main(int argc, char** argv) {
   obs::reset_trace();
   tddft::DistDriverStats stats;
   par::run(ranks, [&](par::Comm& comm) {
-    stats = tddft::solve_casida_distributed(comm, problem, opts);
+    tddft::DistDriverStats mine =
+        tddft::solve_casida_distributed(comm, problem, opts);
+    // Every rank returns the same max-over-ranks stats; one writes them.
+    if (comm.rank() == 0) stats = std::move(mine);
   });
 
   std::printf("version: %s on %d ranks\n", tddft::version_name(opts.version),

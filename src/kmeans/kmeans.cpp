@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -141,6 +142,145 @@ std::vector<grid::Vec3> seed_centroids(const std::vector<grid::Vec3>& points,
   return centroids;
 }
 
+/// kTopWeight seeding across ranks: every rank contributes its k heaviest
+/// kept points; the globally heaviest k of the allgathered candidates seed
+/// the clusters identically on every rank.
+std::vector<grid::Vec3> seed_top_weight(par::Comm& comm,
+                                        const std::vector<grid::Vec3>& points,
+                                        const std::vector<Real>& weights,
+                                        const std::vector<Index>& kept,
+                                        Index k) {
+  struct Candidate {
+    Real weight;
+    Real x, y, z;
+  };
+  static_assert(std::is_trivially_copyable_v<Candidate>);
+  const Index c_per_rank = std::min<Index>(k, static_cast<Index>(kept.size()));
+  std::vector<Index> order = kept;
+  std::partial_sort(order.begin(), order.begin() + c_per_rank, order.end(),
+                    [&](Index a, Index b) {
+                      return weights[static_cast<std::size_t>(a)] >
+                             weights[static_cast<std::size_t>(b)];
+                    });
+  std::vector<Candidate> mine(static_cast<std::size_t>(k),
+                              Candidate{-1, 0, 0, 0});
+  for (Index j = 0; j < c_per_rank; ++j) {
+    const Index p = order[static_cast<std::size_t>(j)];
+    mine[static_cast<std::size_t>(j)] =
+        Candidate{weights[static_cast<std::size_t>(p)],
+                  points[static_cast<std::size_t>(p)][0],
+                  points[static_cast<std::size_t>(p)][1],
+                  points[static_cast<std::size_t>(p)][2]};
+  }
+  std::vector<Candidate> all(static_cast<std::size_t>(k * comm.size()));
+  comm.allgather(mine.data(), k, all.data());
+  std::sort(all.begin(), all.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.weight > b.weight;
+            });
+  std::vector<grid::Vec3> centroids(static_cast<std::size_t>(k));
+  for (Index c = 0; c < k; ++c) {
+    const Candidate& cand = all[static_cast<std::size_t>(c)];
+    LRT_CHECK(cand.weight >= 0,
+              "not enough kept points to seed " << k << " clusters");
+    centroids[static_cast<std::size_t>(c)] = {cand.x, cand.y, cand.z};
+  }
+  return centroids;
+}
+
+/// Representative interpolation point per cluster: the kept point nearest
+/// to the centroid; duplicates resolved by claiming points greedily, and a
+/// cluster that lost all its points takes the globally nearest unclaimed
+/// point.
+std::vector<Index> claim_representatives(
+    const std::vector<grid::Vec3>& points, const std::vector<Index>& kept,
+    const std::vector<Index>& assignment,
+    const std::vector<grid::Vec3>& centroids, const grid::UnitCell* cell) {
+  const Index k = static_cast<Index>(centroids.size());
+  const Index nkept = static_cast<Index>(kept.size());
+  std::vector<char> claimed(points.size(), 0);
+  std::vector<Index> reps(static_cast<std::size_t>(k), -1);
+  for (Index c = 0; c < k; ++c) {
+    Real best = std::numeric_limits<Real>::max();
+    Index best_p = -1;
+    for (Index i = 0; i < nkept; ++i) {
+      if (assignment[static_cast<std::size_t>(i)] != c) continue;
+      const Index p = kept[static_cast<std::size_t>(i)];
+      if (claimed[static_cast<std::size_t>(p)]) continue;
+      const Real d = squared_distance(points[static_cast<std::size_t>(p)],
+                                      centroids[static_cast<std::size_t>(c)],
+                                      cell);
+      if (d < best) {
+        best = d;
+        best_p = p;
+      }
+    }
+    if (best_p < 0) {
+      for (Index i = 0; i < nkept; ++i) {
+        const Index p = kept[static_cast<std::size_t>(i)];
+        if (claimed[static_cast<std::size_t>(p)]) continue;
+        const Real d = squared_distance(
+            points[static_cast<std::size_t>(p)],
+            centroids[static_cast<std::size_t>(c)], cell);
+        if (d < best) {
+          best = d;
+          best_p = p;
+        }
+      }
+    }
+    LRT_CHECK(best_p >= 0, "could not assign a representative point");
+    claimed[static_cast<std::size_t>(best_p)] = 1;
+    reps[static_cast<std::size_t>(c)] = best_p;
+  }
+  return reps;
+}
+
+/// Representative points across ranks: each rank's nearest assigned point
+/// per cluster, then a global argmin over the allgathered (distance,
+/// global index) candidates. Ties go to the lower rank, i.e. the lower
+/// global index, as in the serial scan.
+std::vector<Index> gather_representatives(
+    par::Comm& comm, const std::vector<grid::Vec3>& points,
+    const std::vector<Index>& kept, const std::vector<Index>& assignment,
+    const std::vector<grid::Vec3>& centroids, const grid::UnitCell* cell,
+    Index global_offset) {
+  const Index k = static_cast<Index>(centroids.size());
+  struct Rep {
+    Real distance;
+    long long global_index;
+  };
+  static_assert(std::is_trivially_copyable_v<Rep>);
+  std::vector<Rep> local_rep(static_cast<std::size_t>(k),
+                             Rep{std::numeric_limits<Real>::max(), -1});
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const Index p = kept[i];
+    const Index c = assignment[i];
+    const Real d = squared_distance(points[static_cast<std::size_t>(p)],
+                                    centroids[static_cast<std::size_t>(c)],
+                                    cell);
+    if (d < local_rep[static_cast<std::size_t>(c)].distance) {
+      local_rep[static_cast<std::size_t>(c)] =
+          Rep{d, static_cast<long long>(global_offset + p)};
+    }
+  }
+  std::vector<Rep> all_rep(static_cast<std::size_t>(k * comm.size()));
+  comm.allgather(local_rep.data(), k, all_rep.data());
+  std::vector<Index> reps(static_cast<std::size_t>(k), -1);
+  for (Index c = 0; c < k; ++c) {
+    Rep best{std::numeric_limits<Real>::max(), -1};
+    for (int r = 0; r < comm.size(); ++r) {
+      const Rep& cand = all_rep[static_cast<std::size_t>(r * k + c)];
+      if (cand.global_index >= 0 && cand.distance < best.distance) {
+        best = cand;
+      }
+    }
+    LRT_CHECK(best.global_index >= 0,
+              "cluster " << c << " has no representative point");
+    reps[static_cast<std::size_t>(c)] = static_cast<Index>(best.global_index);
+  }
+  return reps;
+}
+
 }  // namespace
 
 std::vector<Real> pair_weights(la::RealConstView psi_v,
@@ -163,20 +303,24 @@ std::vector<Real> pair_weights(la::RealConstView psi_v,
 
 KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
                              const std::vector<Real>& weights, Index k,
-                             const KMeansOptions& options) {
+                             const KMeansOptions& options, par::Comm* comm,
+                             Index global_offset) {
   const Index n = static_cast<Index>(points.size());
   LRT_CHECK(static_cast<Index>(weights.size()) == n,
             "points/weights size mismatch");
-  LRT_CHECK(k >= 1 && k <= n, "bad cluster count " << k << " for " << n
-                                                   << " points");
+  LRT_CHECK(k >= 1 && (comm != nullptr || k <= n),
+            "bad cluster count " << k << " for " << n << " points");
+  LRT_CHECK(comm == nullptr || options.seeding == Seeding::kTopWeight,
+            "a distributed K-Means seeds from the top-weight points only");
 
   KMeansResult result;
   Rng rng(options.seed);
   const grid::UnitCell* cell = options.periodic_cell;
 
-  // Prune low-weight points (N_r -> N_r').
+  // Prune low-weight points (N_r -> N_r') against the global max weight.
   Real wmax = 0;
   for (const Real w : weights) wmax = std::max(wmax, w);
+  if (comm) comm->allreduce(&wmax, 1, par::ReduceOp::kMax);
   LRT_CHECK(wmax > 0, "all weights are zero");
   const Real cut = options.weight_threshold * wmax;
   result.kept_points.reserve(static_cast<std::size_t>(n));
@@ -185,8 +329,10 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
       result.kept_points.push_back(i);
     }
   }
-  result.num_pruned = n - static_cast<Index>(result.kept_points.size());
-  LRT_CHECK(static_cast<Index>(result.kept_points.size()) >= k,
+  const Index local_pruned = n - static_cast<Index>(result.kept_points.size());
+  result.num_pruned = local_pruned;
+  LRT_CHECK(comm != nullptr ||
+                static_cast<Index>(result.kept_points.size()) >= k,
             "pruning left fewer points than clusters; lower the threshold");
 
   const std::vector<Index>& kept = result.kept_points;
@@ -206,15 +352,24 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     start_iter = ck.iteration;
     restored_objective = ck.objective;
     if (ck.has_rng) rng.set_state(ck.rng);
+  } else if (comm) {
+    result.centroids = seed_top_weight(*comm, points, weights, kept, k);
   } else {
     result.centroids =
-        seed_centroids(points, weights, kept, k, options.seeding, rng,
-                       options.periodic_cell);
+        seed_centroids(points, weights, kept, k, options.seeding, rng, cell);
+  }
+  // Across ranks the pruned count rides along in the Lloyd reduction
+  // below (counts up to 2^53 are exact in a Real); it needs a reduction
+  // of its own only when no iteration is left to run.
+  if (comm && start_iter >= options.max_iterations) {
+    comm->allreduce(&result.num_pruned, 1, par::ReduceOp::kSum);
   }
 
   result.assignment.assign(static_cast<std::size_t>(nkept), 0);
-  std::vector<Real> sum_w(static_cast<std::size_t>(k));
-  std::vector<grid::Vec3> sum_wr(static_cast<std::size_t>(k));
+  // Packed update buffer: per cluster [w, wx, wy, wz], then the
+  // objective and the pruned count; one allreduce combines it across
+  // ranks.
+  std::vector<Real> sums(static_cast<std::size_t>(4 * k + 2));
 
   // Elkan-lite pruning state (docs/PERFORMANCE.md §3): lb[i] lower-bounds
   // the distance from kept point i to every center EXCEPT its assigned
@@ -267,10 +422,11 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     // static chunk's objective terms into its own slot and the slots are
     // added in thread order: a reduction(+) clause would combine the
     // partials in completion order and move the last bits between runs.
+    // A rank thread forms no team: the ranks already share the cores.
     std::fill(thread_objective.begin(), thread_objective.end(), Real{0});
     long long full_scans = 0;
     long long skips = 0;
-#pragma omp parallel reduction(+ : full_scans, skips)
+#pragma omp parallel if (comm == nullptr) reduction(+ : full_scans, skips)
     {
       Real objective = 0;
 #pragma omp for schedule(static)
@@ -317,9 +473,6 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
       const auto slot = static_cast<std::size_t>(thread_id());
       thread_objective[slot] = objective;
     }
-    Real objective = 0;
-    for (const Real part : thread_objective) objective += part;
-    result.objective = objective;
     full_counter.add(full_scans);
     skip_counter.add(skips);
     if (prune) {
@@ -330,50 +483,59 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     // Update step: weighted centroid of each cluster (paper Eq 13). In
     // periodic mode the mean is taken over minimum-image DISPLACEMENTS
     // from the current centroid (the standard linearization), so clusters
-    // straddling the cell boundary do not average to the box middle.
-    std::fill(sum_w.begin(), sum_w.end(), Real{0});
-    for (auto& s : sum_wr) s = {0, 0, 0};
+    // straddling the cell boundary do not average to the box middle; the
+    // centroids are replicated, so this holds across ranks too.
+    std::fill(sums.begin(), sums.end(), Real{0});
     for (Index i = 0; i < nkept; ++i) {
       const Index p = kept[static_cast<std::size_t>(i)];
       const Index c = result.assignment[static_cast<std::size_t>(i)];
       const Real w = weights[static_cast<std::size_t>(p)];
-      sum_w[static_cast<std::size_t>(c)] += w;
       grid::Vec3 contrib = points[static_cast<std::size_t>(p)];
       if (cell) {
         contrib = cell->minimum_image(
             result.centroids[static_cast<std::size_t>(c)], contrib);
       }
+      Real* slot = &sums[static_cast<std::size_t>(4 * c)];
+      slot[0] += w;
       for (int ax = 0; ax < 3; ++ax) {
-        sum_wr[static_cast<std::size_t>(c)][static_cast<std::size_t>(ax)] +=
-            w * contrib[static_cast<std::size_t>(ax)];
+        slot[1 + ax] += w * contrib[static_cast<std::size_t>(ax)];
       }
     }
+    Real& objective = sums[static_cast<std::size_t>(4 * k)];
+    for (const Real part : thread_objective) objective += part;
+    sums[static_cast<std::size_t>(4 * k + 1)] = static_cast<Real>(local_pruned);
+    if (comm) {
+      comm->allreduce(sums.data(), static_cast<Index>(sums.size()),
+                      par::ReduceOp::kSum);
+    }
+    result.objective = objective;
+    result.num_pruned = static_cast<Index>(
+        std::llround(sums[static_cast<std::size_t>(4 * k + 1)]));
+
     for (Index c = 0; c < k; ++c) {
-      if (sum_w[static_cast<std::size_t>(c)] > 0) {
-        grid::Vec3& centroid = result.centroids[static_cast<std::size_t>(c)];
+      const Real* slot = &sums[static_cast<std::size_t>(4 * c)];
+      grid::Vec3& centroid = result.centroids[static_cast<std::size_t>(c)];
+      if (slot[0] > 0) {
         for (int ax = 0; ax < 3; ++ax) {
-          const Real mean =
-              sum_wr[static_cast<std::size_t>(c)][static_cast<std::size_t>(ax)] /
-              sum_w[static_cast<std::size_t>(c)];
+          const Real mean = slot[1 + ax] / slot[0];
           centroid[static_cast<std::size_t>(ax)] =
               cell ? centroid[static_cast<std::size_t>(ax)] + mean : mean;
         }
         if (cell) centroid = cell->wrap(centroid);
-      } else {
+      } else if (comm == nullptr) {
         // Empty cluster: reseed at a random heavy kept point.
         const Index p = kept[static_cast<std::size_t>(
             rng.uniform_index(static_cast<std::uint64_t>(nkept)))];
-        result.centroids[static_cast<std::size_t>(c)] =
-            points[static_cast<std::size_t>(p)];
+        centroid = points[static_cast<std::size_t>(p)];
       }
     }
 
     if (previous_objective < std::numeric_limits<Real>::max() &&
-        previous_objective - objective <=
+        previous_objective - result.objective <=
             options.tolerance * std::max(previous_objective, Real{1e-30})) {
       break;
     }
-    previous_objective = objective;
+    previous_objective = result.objective;
 
     if (options.checkpoint_interval > 0 && options.checkpoint_sink &&
         (iter + 1) % options.checkpoint_interval == 0) {
@@ -381,51 +543,22 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
       ck.centroids = result.centroids;
       ck.iteration = iter + 1;
       ck.objective = previous_objective;
-      ck.has_rng = true;
+      // Across ranks no Rng is ever drawn, so none is saved.
+      ck.has_rng = comm == nullptr;
       ck.rng = rng.state();
       options.checkpoint_sink(ck);
     }
   }
 
-  // Representative interpolation point per cluster: the kept point nearest
-  // to the centroid; duplicates resolved by claiming points greedily.
-  std::vector<char> claimed(static_cast<std::size_t>(n), 0);
-  result.interpolation_points.assign(static_cast<std::size_t>(k), -1);
-  for (Index c = 0; c < k; ++c) {
-    Real best = std::numeric_limits<Real>::max();
-    Index best_p = -1;
-    for (Index i = 0; i < nkept; ++i) {
-      if (result.assignment[static_cast<std::size_t>(i)] != c) continue;
-      const Index p = kept[static_cast<std::size_t>(i)];
-      if (claimed[static_cast<std::size_t>(p)]) continue;
-      const Real d = squared_distance(
-          points[static_cast<std::size_t>(p)],
-          result.centroids[static_cast<std::size_t>(c)], cell);
-      if (d < best) {
-        best = d;
-        best_p = p;
-      }
-    }
-    if (best_p < 0) {
-      // Cluster lost all points: take the globally nearest unclaimed point.
-      for (Index i = 0; i < nkept; ++i) {
-        const Index p = kept[static_cast<std::size_t>(i)];
-        if (claimed[static_cast<std::size_t>(p)]) continue;
-        const Real d = squared_distance(
-            points[static_cast<std::size_t>(p)],
-            result.centroids[static_cast<std::size_t>(c)], cell);
-        if (d < best) {
-          best = d;
-          best_p = p;
-        }
-      }
-    }
-    LRT_CHECK(best_p >= 0, "could not assign a representative point");
-    claimed[static_cast<std::size_t>(best_p)] = 1;
-    result.interpolation_points[static_cast<std::size_t>(c)] = best_p;
-  }
+  result.interpolation_points =
+      comm ? gather_representatives(*comm, points, kept, result.assignment,
+                                    result.centroids, cell, global_offset)
+           : claim_representatives(points, kept, result.assignment,
+                                   result.centroids, cell);
   std::sort(result.interpolation_points.begin(),
             result.interpolation_points.end());
+  static obs::Counter& iterations = obs::counter("kmeans.iterations");
+  iterations.add(result.iterations);
   return result;
 }
 

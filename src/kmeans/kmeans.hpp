@@ -9,7 +9,16 @@
 //  - weight-aware seeding: centroids start from high-weight points
 //    (greedy k-means++-style D² sampling by default, pure top-weight and
 //    uniform-random seeding available for the ablation bench);
-//  - weighted Lloyd updates with empty-cluster reseeding.
+//  - weighted Lloyd updates with empty-cluster reseeding (a distributed
+//    solve keeps an empty cluster's centroid instead: reseeding would
+//    need another round of agreement).
+//
+// The grid points may be row-block partitioned over the ranks of a
+// communicator (paper §4.2, last paragraph). Each iteration then runs the
+// local assignment step and combines the per-cluster weighted coordinate
+// sums and weights with a single Allreduce; the reduction replicates the
+// updated centroids. Without a communicator the caller holds every point,
+// which is the one-rank case.
 #pragma once
 
 #include <functional>
@@ -18,6 +27,7 @@
 #include "ft/checkpoint.hpp"
 #include "grid/rsgrid.hpp"
 #include "la/matrix.hpp"
+#include "par/comm.hpp"
 
 namespace lrt::kmeans {
 
@@ -35,6 +45,9 @@ struct KMeansOptions {
   /// clustering (paper: "remove the points with weights less than the
   /// threshold"). 0 keeps everything.
   Real weight_threshold = 1e-6;
+  /// With a communicator only kTopWeight is honoured: the candidates are
+  /// allgathered so every rank seeds identically without drawing from an
+  /// Rng.
   Seeding seeding = Seeding::kWeightedKpp;
   unsigned seed = 7;
   /// When set, point-to-centroid distances use the minimum-image
@@ -59,12 +72,17 @@ struct KMeansOptions {
   /// A resumed run is bit-identical to an uninterrupted one: the first
   /// resumed iteration full-scans every point (no Elkan bounds survive
   /// the restart), which the PR-4 pruning invariant makes exact, and the
-  /// serialized Rng stream replays any later empty-cluster reseeds.
+  /// serialized Rng stream replays any later empty-cluster reseeds. With
+  /// a communicator the state is replicated, so the sink typically writes
+  /// on rank 0 only, and every rank is handed the same `restore`.
   Index checkpoint_interval = 0;
   std::function<void(const ft::KMeansState&)> checkpoint_sink;
   const ft::KMeansState* restore = nullptr;
 };
 
+/// With a communicator, centroids, interpolation points, objective,
+/// iterations and num_pruned are global and replicated; kept_points and
+/// assignment cover this rank's points (local indices).
 struct KMeansResult {
   std::vector<grid::Vec3> centroids;     ///< k weighted centroids
   std::vector<Index> interpolation_points;  ///< k distinct grid indices
@@ -75,11 +93,16 @@ struct KMeansResult {
   Index num_pruned = 0;
 };
 
-/// Clusters `points` (all N_r grid positions) with `weights` into k
-/// clusters and returns one representative grid point per cluster.
+/// Clusters `points` with `weights` into k clusters and returns one
+/// representative grid point per cluster. Without `comm`, `points` are
+/// all N_r grid positions. With `comm` they are this rank's block, whose
+/// first point has global index `global_offset`; the call is collective
+/// and no OpenMP team is formed inside it.
 KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
                              const std::vector<Real>& weights, Index k,
-                             const KMeansOptions& options = {});
+                             const KMeansOptions& options = {},
+                             par::Comm* comm = nullptr,
+                             Index global_offset = 0);
 
 /// The paper's Eq (14) weight: row norms of the pair-product matrix,
 /// w(r) = (Σ_i ψ_i(r)²)(Σ_j φ_j(r)²) for dv-normalized orbital blocks.

@@ -31,17 +31,14 @@ inline constexpr const char* kIsdfPointsKmeans = "isdf.points.kmeans";  // weigh
 inline constexpr const char* kIsdfPointsQrcp = "isdf.points.qrcp";  // QRCP selector
 inline constexpr const char* kFtCheckpointSave = "ft.checkpoint.save";  // checkpoint serialization + atomic write
 inline constexpr const char* kFtCheckpointLoad = "ft.checkpoint.load";  // checkpoint parse + CRC validation
-inline constexpr const char* kKmeansDist = "kmeans.dist";  // distributed K-Means iteration loop
-inline constexpr const char* kKmeansLloyd = "kmeans.lloyd";  // serial weighted K-Means Lloyd loop
+inline constexpr const char* kKmeansLloyd = "kmeans.lloyd";  // weighted K-Means Lloyd loop (any rank count)
 inline constexpr const char* kLaLobpcg = "la.lobpcg";  // serial LOBPCG solve
 inline constexpr const char* kParDistLobpcg = "par.dist_lobpcg";  // distributed LOBPCG solve
 inline constexpr const char* kParGramReduceMonolithic = "par.gram_reduce.monolithic";  // Gram reduction, single allreduce
 inline constexpr const char* kParGramReducePipelined = "par.gram_reduce.pipelined";  // Gram reduction, pipelined allreduce
-inline constexpr const char* kParSumma = "par.summa";  // SUMMA distributed GEMM
 inline constexpr const char* kParTranspose = "par.transpose";  // pencil transpose (alltoallv)
 inline constexpr const char* kParOverlapPack = "par.overlap.pack";  // slab packing overlapped with an i_* exchange
 inline constexpr const char* kParOverlapWait = "par.overlap.wait";  // drain of a nonblocking collective's receives
-inline constexpr const char* kParDistFft3d = "par.dist_fft3d";  // distributed 3-D FFT (slab/pencil, overlapped)
 inline constexpr const char* kBarrier = "barrier";  // dissemination barrier
 inline constexpr const char* kBcast = "bcast";  // binomial-tree broadcast
 inline constexpr const char* kReduce = "reduce";  // binomial-tree reduction
@@ -102,17 +99,14 @@ inline constexpr const char* kAll[] = {
     kIsdfPointsQrcp,
     kFtCheckpointSave,
     kFtCheckpointLoad,
-    kKmeansDist,
     kKmeansLloyd,
     kLaLobpcg,
     kParDistLobpcg,
     kParGramReduceMonolithic,
     kParGramReducePipelined,
-    kParSumma,
     kParTranspose,
     kParOverlapPack,
     kParOverlapWait,
-    kParDistFft3d,
     kBarrier,
     kBcast,
     kReduce,

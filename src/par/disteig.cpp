@@ -1,27 +1,12 @@
 #include "par/disteig.hpp"
 
-#include "par/jacobi_eig.hpp"
-
 namespace lrt::par {
 
-DistEigResult dist_syev(Comm& comm, const DistMatrix& a,
-                        DistEigMethod method) {
+DistEigResult dist_syev(Comm& comm, const DistMatrix& a) {
   LRT_CHECK(a.global_rows() == a.global_cols(),
             "dist_syev needs a square matrix");
   const Index n = a.global_rows();
   const int p = comm.size();
-
-  if (method == DistEigMethod::kJacobi) {
-    // Fully distributed path: replicate the (square, assumed moderate)
-    // input and run the column-distributed Jacobi sweeps.
-    const la::RealMatrix full = a.allgather_full(comm);
-    const JacobiEigResult jacobi = dist_jacobi_syev(comm, full.view());
-    LRT_CHECK(jacobi.converged, "distributed Jacobi did not converge");
-    DistEigResult result{jacobi.values, DistMatrix(a.layout(), comm.rank())};
-    result.vectors.fill_global(
-        [&](Index i, Index j) { return jacobi.vectors(i, j); });
-    return result;
-  }
 
   // Step 1: convert to the 2-D block-cyclic layout the dense solver wants
   // (pdgemr2d in the paper). Pick a near-square process grid.

@@ -18,19 +18,9 @@ struct DistEigResult {
   DistMatrix vectors;        ///< eigenvector columns in the input layout
 };
 
-enum class DistEigMethod {
-  /// Redistribute to 2-D block-cyclic, gather, factor on rank 0 (fast
-  /// serially, Amdahl-limited).
-  kGathered,
-  /// Fully distributed one-sided Jacobi (par/jacobi_eig) — no serial
-  /// bottleneck, more flops.
-  kJacobi,
-};
-
 /// Solves the symmetric eigenproblem of a distributed matrix. `a` may be in
 /// any layout; internally converts to 2-D block-cyclic (as the paper does
 /// before SYEVD), factorizes, and returns vectors in `a`'s layout.
-DistEigResult dist_syev(Comm& comm, const DistMatrix& a,
-                        DistEigMethod method = DistEigMethod::kGathered);
+DistEigResult dist_syev(Comm& comm, const DistMatrix& a);
 
 }  // namespace lrt::par

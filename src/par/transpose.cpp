@@ -9,11 +9,9 @@ namespace lrt::par {
 namespace {
 
 /// Shared core: exchanges rectangular intersections of (row part) x
-/// (col part). `to_cols` chooses the direction. Templated on the scalar so
-/// the complex FFT pencil exchange (fft/dist_fft3d) reuses the same path.
-template <typename T>
-la::Matrix<T> exchange(Comm& comm, la::ConstMatrixView<T> local, Index n_rows,
-                       Index n_cols, bool to_cols) {
+/// (col part). `to_cols` chooses the direction.
+la::RealMatrix exchange(Comm& comm, la::RealConstView local, Index n_rows,
+                        Index n_cols, bool to_cols) {
   const obs::Span span("par.transpose");
   const int p = comm.size();
   const int me = comm.rank();
@@ -49,51 +47,53 @@ la::Matrix<T> exchange(Comm& comm, la::ConstMatrixView<T> local, Index n_rows,
     recv_total += rc;
   }
 
-  std::vector<T> send_buf(static_cast<std::size_t>(send_total));
+  std::vector<Real> send_buf(static_cast<std::size_t>(send_total));
   for (int q = 0; q < p; ++q) {
-    T* out = send_buf.data() + send_displs[static_cast<std::size_t>(q)];
+    Real* out = send_buf.data() + send_displs[static_cast<std::size_t>(q)];
     if (to_cols) {
       const Index c0 = cols.offset(q);
       const Index nc = cols.count(q);
       for (Index i = 0; i < local.rows(); ++i) {
-        const T* src = local.row_ptr(i) + c0;
+        const Real* src = local.row_ptr(i) + c0;
         for (Index j = 0; j < nc; ++j) *out++ = src[j];
       }
     } else {
       const Index r0 = rows.offset(q);
       const Index nr = rows.count(q);
       for (Index i = 0; i < nr; ++i) {
-        const T* src = local.row_ptr(r0 + i);
+        const Real* src = local.row_ptr(r0 + i);
         for (Index j = 0; j < local.cols(); ++j) *out++ = src[j];
       }
     }
   }
 
-  std::vector<T> recv_buf(static_cast<std::size_t>(recv_total));
+  std::vector<Real> recv_buf(static_cast<std::size_t>(recv_total));
   comm.alltoallv(send_buf.data(), send_counts, send_displs, recv_buf.data(),
                  recv_counts, recv_displs);
 
   // Unpack.
-  la::Matrix<T> result;
+  la::RealMatrix result;
   if (to_cols) {
     result.resize(n_rows, cols.count(me));
     for (int q = 0; q < p; ++q) {
-      const T* in = recv_buf.data() + recv_displs[static_cast<std::size_t>(q)];
+      const Real* in =
+          recv_buf.data() + recv_displs[static_cast<std::size_t>(q)];
       const Index r0 = rows.offset(q);
       const Index nr = rows.count(q);
       for (Index i = 0; i < nr; ++i) {
-        T* dst = result.row_ptr(r0 + i);
+        Real* dst = result.row_ptr(r0 + i);
         for (Index j = 0; j < result.cols(); ++j) dst[j] = *in++;
       }
     }
   } else {
     result.resize(rows.count(me), n_cols);
     for (int q = 0; q < p; ++q) {
-      const T* in = recv_buf.data() + recv_displs[static_cast<std::size_t>(q)];
+      const Real* in =
+          recv_buf.data() + recv_displs[static_cast<std::size_t>(q)];
       const Index c0 = cols.offset(q);
       const Index nc = cols.count(q);
       for (Index i = 0; i < result.rows(); ++i) {
-        T* dst = result.row_ptr(i) + c0;
+        Real* dst = result.row_ptr(i) + c0;
         for (Index j = 0; j < nc; ++j) dst[j] = *in++;
       }
     }
@@ -143,17 +143,16 @@ ChunkPlan plan_chunk(const BlockPartition& rows, const BlockPartition& cols,
   return plan;
 }
 
-template <typename T>
-void pack_chunk(la::ConstMatrixView<T> local, const BlockPartition& rows,
+void pack_chunk(la::RealConstView local, const BlockPartition& rows,
                 const BlockPartition& cols, int p, int me, bool to_cols,
-                Index c0, Index cn, const ChunkPlan& plan, T* send_buf) {
+                Index c0, Index cn, const ChunkPlan& plan, Real* send_buf) {
   const obs::Span span("par.overlap.pack");
   for (int q = 0; q < p; ++q) {
-    T* out = send_buf + plan.send_displs[static_cast<std::size_t>(q)];
+    Real* out = send_buf + plan.send_displs[static_cast<std::size_t>(q)];
     if (to_cols) {
       const auto [qc0, qcn] = intersect(cols, q, c0, cn);
       for (Index i = 0; i < local.rows(); ++i) {
-        const T* src = local.row_ptr(i) + qc0;
+        const Real* src = local.row_ptr(i) + qc0;
         for (Index j = 0; j < qcn; ++j) *out++ = src[j];
       }
     } else {
@@ -162,43 +161,41 @@ void pack_chunk(la::ConstMatrixView<T> local, const BlockPartition& rows,
       const Index r0 = rows.offset(q);
       const Index nr = rows.count(q);
       for (Index i = 0; i < nr; ++i) {
-        const T* src = local.row_ptr(r0 + i) + local_c0;
+        const Real* src = local.row_ptr(r0 + i) + local_c0;
         for (Index j = 0; j < mcn; ++j) *out++ = src[j];
       }
     }
   }
 }
 
-template <typename T>
-void unpack_chunk(la::MatrixView<T> result, const BlockPartition& rows,
+void unpack_chunk(la::RealView result, const BlockPartition& rows,
                   const BlockPartition& cols, int p, int me, bool to_cols,
                   Index c0, Index cn, const ChunkPlan& plan,
-                  const T* recv_buf) {
+                  const Real* recv_buf) {
   for (int q = 0; q < p; ++q) {
-    const T* in = recv_buf + plan.recv_displs[static_cast<std::size_t>(q)];
+    const Real* in = recv_buf + plan.recv_displs[static_cast<std::size_t>(q)];
     if (to_cols) {
       const auto [mc0, mcn] = intersect(cols, me, c0, cn);
       const Index local_c0 = mc0 - cols.offset(me);
       const Index r0 = rows.offset(q);
       const Index nr = rows.count(q);
       for (Index i = 0; i < nr; ++i) {
-        T* dst = result.row_ptr(r0 + i) + local_c0;
+        Real* dst = result.row_ptr(r0 + i) + local_c0;
         for (Index j = 0; j < mcn; ++j) dst[j] = *in++;
       }
     } else {
       const auto [qc0, qcn] = intersect(cols, q, c0, cn);
       for (Index i = 0; i < result.rows(); ++i) {
-        T* dst = result.row_ptr(i) + qc0;
+        Real* dst = result.row_ptr(i) + qc0;
         for (Index j = 0; j < qcn; ++j) dst[j] = *in++;
       }
     }
   }
 }
 
-template <typename T>
-la::Matrix<T> exchange_overlapped(Comm& comm, la::ConstMatrixView<T> local,
-                                  Index n_rows, Index n_cols, bool to_cols,
-                                  Index chunks) {
+la::RealMatrix exchange_overlapped(Comm& comm, la::RealConstView local,
+                                   Index n_rows, Index n_cols, bool to_cols,
+                                   Index chunks) {
   const obs::Span span("par.transpose");
   const int p = comm.size();
   const int me = comm.rank();
@@ -213,7 +210,7 @@ la::Matrix<T> exchange_overlapped(Comm& comm, la::ConstMatrixView<T> local,
               "col_block_to_row_block: bad local shape");
   }
 
-  la::Matrix<T> result;
+  la::RealMatrix result;
   if (to_cols) {
     result.resize(n_rows, cols.count(me));
   } else {
@@ -228,7 +225,7 @@ la::Matrix<T> exchange_overlapped(Comm& comm, la::ConstMatrixView<T> local,
   // soon as the issue returns; receive buffers stay pinned until wait(),
   // so both sides are double-buffered.
   std::vector<ChunkPlan> plans(static_cast<std::size_t>(s_count));
-  std::vector<T> send_buf[2], recv_buf[2];
+  std::vector<Real> send_buf[2], recv_buf[2];
   Comm::Request reqs[2];
 
   const auto issue = [&](Index s) {
@@ -285,20 +282,6 @@ la::RealMatrix col_block_to_row_block_overlapped(Comm& comm,
                                                  la::RealConstView local_cols,
                                                  Index n_rows, Index n_cols,
                                                  Index chunks) {
-  return exchange_overlapped(comm, local_cols, n_rows, n_cols,
-                             /*to_cols=*/false, chunks);
-}
-
-la::ComplexMatrix row_block_to_col_block_overlapped(
-    Comm& comm, la::ComplexConstView local_rows, Index n_rows, Index n_cols,
-    Index chunks) {
-  return exchange_overlapped(comm, local_rows, n_rows, n_cols,
-                             /*to_cols=*/true, chunks);
-}
-
-la::ComplexMatrix col_block_to_row_block_overlapped(
-    Comm& comm, la::ComplexConstView local_cols, Index n_rows, Index n_cols,
-    Index chunks) {
   return exchange_overlapped(comm, local_cols, n_rows, n_cols,
                              /*to_cols=*/false, chunks);
 }

@@ -41,14 +41,4 @@ la::RealMatrix col_block_to_row_block_overlapped(Comm& comm,
                                                  Index n_rows, Index n_cols,
                                                  Index chunks = 4);
 
-/// Complex overloads of the overlapped exchanges (same core, same overlap
-/// scheme); the distributed FFT's slab <-> pencil redistributions are
-/// plain transposes of an (n0 x n1*n2) complex matrix.
-la::ComplexMatrix row_block_to_col_block_overlapped(
-    Comm& comm, la::ComplexConstView local_rows, Index n_rows, Index n_cols,
-    Index chunks = 4);
-la::ComplexMatrix col_block_to_row_block_overlapped(
-    Comm& comm, la::ComplexConstView local_cols, Index n_rows, Index n_cols,
-    Index chunks = 4);
-
 }  // namespace lrt::par

@@ -5,7 +5,7 @@
 #include "ft/checkpoint.hpp"
 #include "isdf/interpolation.hpp"
 #include "isdf/pairproduct.hpp"
-#include "kmeans/dist_kmeans.hpp"
+#include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
@@ -96,7 +96,7 @@ la::RealMatrix kernel_apply_distributed(par::Comm& comm,
 /// interpolation points pin the downstream sampling, objective and the
 /// counters just keep reporting consistent.
 void save_driver_kmeans(const std::string& path,
-                        const kmeans::DistKMeansResult& km) {
+                        const kmeans::KMeansResult& km) {
   ft::CheckpointWriter writer;
   const std::string kind = "driver_kmeans";
   writer.add("kind", kind.data(), kind.size());
@@ -117,8 +117,8 @@ void save_driver_kmeans(const std::string& path,
   writer.write(path);
 }
 
-kmeans::DistKMeansResult load_driver_kmeans(const std::string& path,
-                                            Index nmu) {
+kmeans::KMeansResult load_driver_kmeans(const std::string& path,
+                                        Index nmu) {
   const ft::CheckpointReader reader(path);
   const std::vector<unsigned char>& kind_bytes = reader.section("kind");
   const std::string kind(kind_bytes.begin(), kind_bytes.end());
@@ -141,7 +141,7 @@ kmeans::DistKMeansResult load_driver_kmeans(const std::string& path,
         "checkpoint holds " + std::to_string(meta.nmu) +
             " clusters, this run wants " + std::to_string(nmu));
   }
-  kmeans::DistKMeansResult km;
+  kmeans::KMeansResult km;
   km.iterations = static_cast<Index>(meta.iterations);
   km.num_pruned = static_cast<Index>(meta.num_pruned);
   km.objective = meta.objective;
@@ -227,7 +227,7 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
       par::Layout::block_row(ncv, ncv, comm.size());
   par::DistMatrix h_dist(row_layout, me);
   h_dist.fill_global([&](Index i, Index j) { return h(i, j); });
-  par::DistEigResult eig = par::dist_syev(comm, h_dist, options.eig_method);
+  par::DistEigResult eig = par::dist_syev(comm, h_dist);
   t_diag.stop();
 
   return std::vector<Real>(
@@ -259,7 +259,7 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   // none does — and the restored result is replicated exactly like the
   // allreduced one, so downstream sampling is bit-identical.
   PhaseTimer t_kmeans(clock, obs::phase::kKmeans);
-  kmeans::DistKMeansResult km;
+  kmeans::KMeansResult km;
   bool restored = false;
   if (!options.checkpoint_path.empty() &&
       ft::checkpoint_exists(options.checkpoint_path)) {
@@ -273,8 +273,8 @@ std::vector<Real> solve_implicit(par::Comm& comm,
       points[static_cast<std::size_t>(i)] =
           problem.grid.position(my_offset + i);
     }
-    km = kmeans::dist_weighted_kmeans(comm, points, weights, my_offset, nmu,
-                                      options.kmeans);
+    km = kmeans::weighted_kmeans(points, weights, nmu, options.kmeans, &comm,
+                                 my_offset);
   }
   t_kmeans.stop();
   if (!restored && !options.checkpoint_path.empty() && me == 0) {

@@ -23,7 +23,6 @@
 
 #include "kmeans/kmeans.hpp"
 #include "par/comm.hpp"
-#include "par/disteig.hpp"
 #include "tddft/driver.hpp"
 
 namespace lrt::tddft {
@@ -37,14 +36,16 @@ struct DistDriverOptions {
   Real nmu_ratio = 6.0;
   bool include_xc = true;
   TddftEigenOptions eigen;
-  kmeans::KMeansOptions kmeans;
+  /// Distributed K-Means honours only top-weight seeding.
+  kmeans::KMeansOptions kmeans = [] {
+    kmeans::KMeansOptions top_weight;
+    top_weight.seeding = kmeans::Seeding::kTopWeight;
+    return top_weight;
+  }();
   /// Vhxc assembly: pipelined GEMM+Reduce (true) vs monolithic
   /// GEMM+Allreduce (false).
   bool pipelined_reduce = false;
   Index pipeline_chunk = 64;
-  /// Dense eigensolver for the naive path: gathered SYEVD stand-in or the
-  /// fully distributed one-sided Jacobi.
-  par::DistEigMethod eig_method = par::DistEigMethod::kGathered;
   /// Phase-granular restart (docs/RESILIENCE.md): when non-empty and the
   /// file exists, the implicit path loads the distributed K-Means result
   /// from it and skips the whole K-Means phase; otherwise rank 0 writes

@@ -1,22 +1,18 @@
 // Communication-avoiding primitives: the single-round allreduce, the
 // nonblocking collectives and the overlapped transpose built on them, the
-// slab-decomposed distributed FFT, the batched small-block GEMM, and the
-// three-round LOBPCG iteration. Every replacement here claims bitwise
-// identity with the schedule it displaces (or, for LOBPCG, the serial
-// solve with the one-rank distributed one), so these tests compare
-// exactly — no tolerances except where a kernel legitimately
-// reassociates.
+// batched small-block GEMM, and the three-round LOBPCG iteration. Every
+// replacement here claims bitwise identity with the schedule it displaces
+// (or, for LOBPCG, the serial solve with the one-rank distributed one), so
+// these tests compare exactly — no tolerances except where a kernel
+// legitimately reassociates.
 #include <gtest/gtest.h>
 
-#include <complex>
 #include <vector>
 
-#include "fft/fft3d.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "la/matrix.hpp"
 #include "par/comm.hpp"
-#include "par/dist_fft3d.hpp"
 #include "par/dist_lobpcg.hpp"
 #include "par/layout.hpp"
 #include "par/transpose.hpp"
@@ -206,107 +202,7 @@ TEST_P(OverlapSweep, RealTransposeBitwiseMatchesBlocking) {
   }
 }
 
-TEST_P(OverlapSweep, ComplexTransposeRoundTripsExactly) {
-  const int p = GetParam();
-  using Cplx = std::complex<Real>;
-  const Index n_rows = 19, n_cols = 12;
-  la::ComplexMatrix global(n_rows, n_cols);
-  for (Index i = 0; i < n_rows; ++i) {
-    for (Index j = 0; j < n_cols; ++j) {
-      global(i, j) = Cplx(static_cast<Real>(i + 1), static_cast<Real>(j - 3));
-    }
-  }
-  par::run(p, [&](par::Comm& comm) {
-    const par::BlockPartition rows(n_rows, comm.size());
-    const par::BlockPartition cols(n_cols, comm.size());
-    const la::ComplexConstView my_rows = global.view().rows_block(
-        rows.offset(comm.rank()), rows.count(comm.rank()));
-    const la::ComplexMatrix col_block = par::row_block_to_col_block_overlapped(
-        comm, my_rows, n_rows, n_cols);
-    // The column block is the full-height slice of the global matrix.
-    ASSERT_EQ(col_block.rows(), n_rows);
-    ASSERT_EQ(col_block.cols(), cols.count(comm.rank()));
-    for (Index i = 0; i < n_rows; ++i) {
-      for (Index j = 0; j < col_block.cols(); ++j) {
-        EXPECT_EQ(col_block(i, j), global(i, cols.offset(comm.rank()) + j));
-      }
-    }
-    const la::ComplexMatrix back = par::col_block_to_row_block_overlapped(
-        comm, col_block.view(), n_rows, n_cols);
-    for (Index i = 0; i < my_rows.rows(); ++i) {
-      for (Index j = 0; j < n_cols; ++j) {
-        EXPECT_EQ(back(i, j), my_rows(i, j));
-      }
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, OverlapSweep,
-                         ::testing::Values(1, 2, 3, 4));
-
-// ----- distributed FFT --------------------------------------------------------
-
-class DistFftSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistFftSweep, ForwardBitwiseMatchesSerial) {
-  const int p = GetParam();
-  const Index n0 = 6, n1 = 4, n2 = 5;
-  std::vector<fft::Complex> serial(static_cast<std::size_t>(n0 * n1 * n2));
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    serial[i] = fft::Complex(0.3 * static_cast<Real>(i % 13) - 1.0,
-                             0.1 * static_cast<Real>(i % 7));
-  }
-  const std::vector<fft::Complex> input = serial;
-  fft::Fft3D(n0, n1, n2).forward(serial.data());
-
-  par::run(p, [&](par::Comm& comm) {
-    const par::DistFft3D dist(comm, n0, n1, n2);
-    std::vector<fft::Complex> slab(
-        static_cast<std::size_t>(dist.local_size()));
-    const std::size_t base =
-        static_cast<std::size_t>(dist.offset0() * n1 * n2);
-    for (std::size_t i = 0; i < slab.size(); ++i) slab[i] = input[base + i];
-    dist.forward(slab.data());
-    for (std::size_t i = 0; i < slab.size(); ++i) {
-      EXPECT_EQ(slab[i].real(), serial[base + i].real()) << "p=" << p;
-      EXPECT_EQ(slab[i].imag(), serial[base + i].imag()) << "p=" << p;
-    }
-  });
-}
-
-TEST_P(DistFftSweep, InverseBitwiseMatchesSerialAndRoundTrips) {
-  const int p = GetParam();
-  const Index n0 = 8, n1 = 3, n2 = 4;
-  std::vector<fft::Complex> freq(static_cast<std::size_t>(n0 * n1 * n2));
-  for (std::size_t i = 0; i < freq.size(); ++i) {
-    freq[i] = fft::Complex(static_cast<Real>(i % 5) - 2.0,
-                           0.25 * static_cast<Real>(i % 11));
-  }
-  std::vector<fft::Complex> serial = freq;
-  fft::Fft3D(n0, n1, n2).inverse(serial.data());
-
-  par::run(p, [&](par::Comm& comm) {
-    const par::DistFft3D dist(comm, n0, n1, n2);
-    std::vector<fft::Complex> slab(
-        static_cast<std::size_t>(dist.local_size()));
-    const std::size_t base =
-        static_cast<std::size_t>(dist.offset0() * n1 * n2);
-    for (std::size_t i = 0; i < slab.size(); ++i) slab[i] = freq[base + i];
-    dist.inverse(slab.data());
-    for (std::size_t i = 0; i < slab.size(); ++i) {
-      EXPECT_EQ(slab[i].real(), serial[base + i].real()) << "p=" << p;
-      EXPECT_EQ(slab[i].imag(), serial[base + i].imag()) << "p=" << p;
-    }
-    // forward(inverse(x)) restores the spectrum to rounding error.
-    dist.forward(slab.data());
-    for (std::size_t i = 0; i < slab.size(); ++i) {
-      EXPECT_NEAR(slab[i].real(), freq[base + i].real(), 1e-10);
-      EXPECT_NEAR(slab[i].imag(), freq[base + i].imag(), 1e-10);
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, DistFftSweep,
                          ::testing::Values(1, 2, 3, 4));
 
 // ----- batched GEMM -----------------------------------------------------------

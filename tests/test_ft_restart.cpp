@@ -13,7 +13,6 @@
 #include "dft/synthetic.hpp"
 #include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
-#include "kmeans/dist_kmeans.hpp"
 #include "la/blas.hpp"
 #include "obs/counters.hpp"
 #include "par/dist_lobpcg.hpp"
@@ -195,6 +194,8 @@ TEST(DistKmeansRestart, CrashedRunRestartsBitIdentical) {
   const Index k = 5;
   const std::string path = temp_path("dist_kmeans");
   std::remove(path.c_str());
+  kmeans::KMeansOptions top_weight;
+  top_weight.seeding = kmeans::Seeding::kTopWeight;
 
   const auto local_slab = [&](par::Comm& comm, std::vector<grid::Vec3>& pts,
                               std::vector<Real>& wts, Index& offset) {
@@ -219,8 +220,8 @@ TEST(DistKmeansRestart, CrashedRunRestartsBitIdentical) {
     std::vector<Real> wts;
     Index offset = 0;
     local_slab(comm, pts, wts, offset);
-    const kmeans::DistKMeansResult r =
-        kmeans::dist_weighted_kmeans(comm, pts, wts, offset, k, {});
+    const kmeans::KMeansResult r =
+        kmeans::weighted_kmeans(pts, wts, k, top_weight, &comm, offset);
     if (comm.rank() == 0) {
       ref_centroids = r.centroids;
       ref_objective = r.objective;
@@ -250,15 +251,14 @@ TEST(DistKmeansRestart, CrashedRunRestartsBitIdentical) {
                  std::vector<Real> wts;
                  Index offset = 0;
                  local_slab(comm, pts, wts, offset);
-                 kmeans::KMeansOptions options;
+                 kmeans::KMeansOptions options = top_weight;
                  options.checkpoint_interval = 1;
                  if (comm.rank() == 0) {
                    options.checkpoint_sink = [&](const ft::KMeansState& s) {
                      ft::save_kmeans(s, path);
                    };
                  }
-                 kmeans::dist_weighted_kmeans(comm, pts, wts, offset, k,
-                                              options);
+                 kmeans::weighted_kmeans(pts, wts, k, options, &comm, offset);
                },
                {}, crash),
       ft::RankCrashError);
@@ -273,10 +273,10 @@ TEST(DistKmeansRestart, CrashedRunRestartsBitIdentical) {
     std::vector<Real> wts;
     Index offset = 0;
     local_slab(comm, pts, wts, offset);
-    kmeans::KMeansOptions options;
+    kmeans::KMeansOptions options = top_weight;
     options.restore = &state;
-    const kmeans::DistKMeansResult r =
-        kmeans::dist_weighted_kmeans(comm, pts, wts, offset, k, options);
+    const kmeans::KMeansResult r =
+        kmeans::weighted_kmeans(pts, wts, k, options, &comm, offset);
     if (comm.rank() == 0) {
       EXPECT_EQ(r.iterations, ref_iterations);
       EXPECT_EQ(r.objective, ref_objective);
@@ -432,7 +432,7 @@ TEST(DriverRestart, SecondRunSkipsKmeansPhaseAndReproducesEnergies) {
   options.kmeans.seeding = kmeans::Seeding::kTopWeight;
   options.checkpoint_path = path;
 
-  obs::Counter& lloyd = obs::counter("kmeans.dist.iterations");
+  obs::Counter& lloyd = obs::counter("kmeans.iterations");
 
   const long long l0 = lloyd.value();
   std::vector<Real> first;

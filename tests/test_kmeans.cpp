@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 
-#include "kmeans/dist_kmeans.hpp"
 #include "kmeans/kmeans.hpp"
 #include "par/layout.hpp"
 
@@ -192,8 +191,8 @@ TEST_P(DistKmeansSweep, MatchesSerialObjectiveScale) {
     std::vector<Real> local_weights(
         f.weights.begin() + off, f.weights.begin() + off + cnt);
 
-    const DistKMeansResult dist = dist_weighted_kmeans(
-        comm, local_points, local_weights, off, k, opts);
+    const KMeansResult dist = weighted_kmeans(local_points, local_weights, k,
+                                              opts, &comm, off);
 
     ASSERT_EQ(dist.interpolation_points.size(), static_cast<std::size_t>(k));
     std::set<Index> unique(dist.interpolation_points.begin(),
@@ -218,8 +217,8 @@ TEST_P(DistKmeansSweep, SingleRankMatchesSerialUpToObjectiveRoundoff) {
   opts.seeding = Seeding::kTopWeight;
   const KMeansResult serial = weighted_kmeans(f.points, f.weights, 5, opts);
   par::run(1, [&](par::Comm& comm) {
-    const DistKMeansResult dist =
-        dist_weighted_kmeans(comm, f.points, f.weights, 0, 5, opts);
+    const KMeansResult dist =
+        weighted_kmeans(f.points, f.weights, 5, opts, &comm);
     EXPECT_EQ(dist.interpolation_points, serial.interpolation_points);
     EXPECT_EQ(dist.iterations, serial.iterations);
     // Serial K-Means sums its objective in per-OpenMP-thread partials, so
@@ -228,8 +227,54 @@ TEST_P(DistKmeansSweep, SingleRankMatchesSerialUpToObjectiveRoundoff) {
   });
 }
 
+TEST_P(DistKmeansSweep, RejectsSeedingsThatNeedAnRng) {
+  const int p = GetParam();
+  BlobFixture f;
+  for (const Seeding seeding :
+       {Seeding::kWeightedKpp, Seeding::kUniformRandom}) {
+    KMeansOptions opts;
+    opts.seeding = seeding;
+    par::run(p, [&](par::Comm& comm) {
+      EXPECT_THROW(weighted_kmeans(f.points, f.weights, 4, opts, &comm),
+                   Error);
+    });
+  }
+}
+
+TEST_P(DistKmeansSweep, PeriodicBoundaryBlobMatchesSerial) {
+  // The PeriodicDistanceUnifiesBoundaryBlob fixture: one blob centered on
+  // the cell corner, clustered with minimum-image distances.
+  const int p = GetParam();
+  const grid::RealSpaceGrid g(grid::UnitCell::cubic(10.0), {10, 10, 10});
+  const std::vector<grid::Vec3> points = g.positions();
+  std::vector<Real> weights(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const grid::Vec3 d = g.cell().minimum_image({0, 0, 0}, points[i]);
+    weights[i] = std::exp(-grid::norm2(d) / 2.0) + 1e-9;
+  }
+  const grid::UnitCell cell = g.cell();
+  KMeansOptions opts;
+  opts.seeding = Seeding::kTopWeight;
+  opts.periodic_cell = &cell;
+  const KMeansResult serial = weighted_kmeans(points, weights, 1, opts);
+
+  par::run(p, [&](par::Comm& comm) {
+    const par::BlockPartition part(g.size(), comm.size());
+    const Index off = part.offset(comm.rank());
+    const Index cnt = part.count(comm.rank());
+    const std::vector<grid::Vec3> local_points(
+        points.begin() + off, points.begin() + off + cnt);
+    const std::vector<Real> local_weights(
+        weights.begin() + off, weights.begin() + off + cnt);
+    const KMeansResult dist = weighted_kmeans(local_points, local_weights, 1,
+                                              opts, &comm, off);
+    EXPECT_EQ(dist.interpolation_points, serial.interpolation_points);
+    EXPECT_EQ(dist.iterations, serial.iterations);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistKmeansSweep,
-                         ::testing::Values(1, 2, 4));
+                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace lrt::kmeans

@@ -188,29 +188,6 @@ TEST_P(DistSweep, DistSyevMatchesSerial) {
   });
 }
 
-TEST_P(DistSweep, DistSyevJacobiMethodMatchesSerial) {
-  const int p = GetParam();
-  run(p, [p](Comm& comm) {
-    const Index n = 14;
-    Rng rng(21);
-    la::RealMatrix a = la::RealMatrix::random_normal(n, n, rng);
-    for (Index i = 0; i < n; ++i) {
-      for (Index j = 0; j < i; ++j) a(j, i) = a(i, j);
-    }
-    const Layout layout = Layout::block_row(n, n, p);
-    DistMatrix dist(layout, comm.rank());
-    dist.fill_global([&a](Index i, Index j) { return a(i, j); });
-
-    const DistEigResult result =
-        dist_syev(comm, dist, DistEigMethod::kJacobi);
-    const la::EigResult serial = la::syev(a.view());
-    for (Index i = 0; i < n; ++i) {
-      EXPECT_NEAR(result.values[static_cast<std::size_t>(i)],
-                  serial.values[static_cast<std::size_t>(i)], 1e-8);
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistSweep, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace

@@ -22,7 +22,6 @@
 
 #include "fft/fft1d.hpp"
 #include "fft/fft3d.hpp"
-#include "kmeans/dist_kmeans.hpp"
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
@@ -853,11 +852,11 @@ TEST_P(PrunedDistKmeansSweep, BitIdenticalToExactScan) {
     kmeans::KMeansOptions opts;
     opts.seeding = kmeans::Seeding::kTopWeight;
     opts.pruned_assignment = false;
-    const kmeans::DistKMeansResult exact = kmeans::dist_weighted_kmeans(
-        comm, local_points, local_weights, off, 10, opts);
+    const kmeans::KMeansResult exact = kmeans::weighted_kmeans(
+        local_points, local_weights, 10, opts, &comm, off);
     opts.pruned_assignment = true;
-    const kmeans::DistKMeansResult pruned = kmeans::dist_weighted_kmeans(
-        comm, local_points, local_weights, off, 10, opts);
+    const kmeans::KMeansResult pruned = kmeans::weighted_kmeans(
+        local_points, local_weights, 10, opts, &comm, off);
 
     EXPECT_EQ(exact.iterations, pruned.iterations);
     EXPECT_EQ(exact.objective, pruned.objective);  // bitwise

@@ -157,31 +157,6 @@ TEST_P(DistDriverSweep, StatsAreCoherent) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistDriverSweep,
                          ::testing::Values(1, 2, 3, 4));
 
-TEST_P(DistDriverSweep, JacobiEigensolverMatchesGathered) {
-  const int p = GetParam();
-  const CasidaProblem problem = make_test_problem();
-  std::vector<Real> gathered, jacobi;
-  par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
-    opts.version = Version::kNaive;
-    opts.num_states = 2;
-    opts.eig_method = par::DistEigMethod::kGathered;
-    auto e = solve_casida_distributed(comm, problem, opts).energies;
-    if (comm.rank() == 0) gathered = std::move(e);
-  });
-  par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
-    opts.version = Version::kNaive;
-    opts.num_states = 2;
-    opts.eig_method = par::DistEigMethod::kJacobi;
-    auto e = solve_casida_distributed(comm, problem, opts).energies;
-    if (comm.rank() == 0) jacobi = std::move(e);
-  });
-  for (std::size_t j = 0; j < gathered.size(); ++j) {
-    EXPECT_NEAR(jacobi[j], gathered[j], 1e-8);
-  }
-}
-
 TEST(DistDriverObs, Fig8PhaseSpansPerRank) {
   // Every Figure-8 phase must record at least one span on every rank
   // thread, so traces explain where each rank's time went.

@@ -10,6 +10,9 @@
 #   tsan        -fsanitize=thread. OpenMP is disabled in this flavor:
 #               libgomp is not TSan-instrumented and reports false
 #               positives on its internal barriers.
+#               Both sanitizer flavors also run the Fig-8 bench smoke
+#               (bench_fig8_breakdown --smoke), so rank threads writing
+#               shared state outside the tests reach a sanitizer too.
 #   bench       bench-smoke: tools/bench.sh --smoke in the plain tree —
 #               seconds-long kernel benches with --compare correctness
 #               cross-checks, then lrt.bench/1 schema validation of the
@@ -149,6 +152,12 @@ if [ "$do_asan" -eq 1 ]; then
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     run_flavor asan+ubsan build-asan "-DLRT_SANITIZE=address;undefined"
+  echo "=== [asan+ubsan] fig8 bench smoke ==="
+  mkdir -p build-asan/bench-smoke
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  LRT_BENCH_DIR=build-asan/bench-smoke \
+    ./build-asan/bench/bench_fig8_breakdown --smoke
   echo "=== [asan+ubsan] ctest with LRT_FAULT (injection under sanitizers) ==="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -160,6 +169,11 @@ if [ "$do_tsan" -eq 1 ]; then
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     run_flavor tsan build-tsan -DLRT_SANITIZE=thread \
       -DCMAKE_DISABLE_FIND_PACKAGE_OpenMP=ON
+  echo "=== [tsan] fig8 bench smoke ==="
+  mkdir -p build-tsan/bench-smoke
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+  LRT_BENCH_DIR=build-tsan/bench-smoke \
+    ./build-tsan/bench/bench_fig8_breakdown --smoke
 fi
 
 echo "CI: all requested flavors passed"
