@@ -9,8 +9,15 @@
 // much extra compute parallelization introduces — the quantity whose
 // decay the paper's Figure 7 plots. Communication volume is also shown
 // (it grows with R — the reason the paper's efficiency falls).
+//
+// Flags:
+//   --smoke   ranks {1, 3} only: both versions through the distributed
+//             driver on an uneven partition (CI runs it under the
+//             sanitizers).
 #include <cstdio>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "tddft/dist_driver.hpp"
@@ -20,12 +27,13 @@ using namespace lrt;
 namespace {
 
 void sweep(const char* name, const tddft::Version version,
-           const tddft::CasidaProblem& problem) {
+           const tddft::CasidaProblem& problem,
+           const std::vector<int>& rank_counts) {
   Table table(std::string("Fig 7 (scaled): strong scaling — ") + name,
               {"ranks", "busy max [s]", "comm max [s]", "efficiency",
                "MB sent/rank"});
   double busy1 = 0;
-  for (const int ranks : {1, 2, 4, 8}) {
+  for (const int ranks : rank_counts) {
     tddft::DistDriverStats stats;
     long long bytes = 0;
     par::run(ranks, [&](par::Comm& comm) {
@@ -56,15 +64,27 @@ void sweep(const char* name, const tddft::Version version,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      std::fprintf(stderr, "usage: bench_fig7_strong_scaling [--smoke]\n");
+      return 2;
+    }
+  }
+  const std::vector<int> rank_counts =
+      smoke ? std::vector<int>{1, 3} : std::vector<int>{1, 2, 4, 8};
+
   const bench::Workload w{"Si16*", 24, 16, 14, 13.0, 16};
   const tddft::CasidaProblem problem = bench::make_workload(w);
   std::printf("system: Nr=%td Nv=%td Nc=%td\n\n", problem.nr(), problem.nv(),
               problem.nc());
 
-  sweep("Naive (version 1)", tddft::Version::kNaive, problem);
+  sweep("Naive (version 1)", tddft::Version::kNaive, problem, rank_counts);
   sweep("Implicit-Kmeans-ISDF-LOBPCG (version 5)", tddft::Version::kImplicit,
-        problem);
+        problem, rank_counts);
 
   std::printf(
       "paper reference (Fig 7): parallel efficiency stays above ~50%% to\n"

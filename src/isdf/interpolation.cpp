@@ -1,8 +1,11 @@
 #include "isdf/interpolation.hpp"
 
+#include <algorithm>
+
 #include "isdf/pairproduct.hpp"
 #include "la/blas.hpp"
 #include "la/lstsq.hpp"
+#include "obs/counters.hpp"
 
 namespace lrt::isdf {
 
@@ -18,32 +21,47 @@ la::RealMatrix interpolation_vectors(la::RealConstView psi_v,
   const Index nr = psi_v.rows();
   const Index nmu = psi_v_mu.rows();
 
-  // Z Cᵀ via the separable Hadamard structure.
-  const la::RealMatrix av =
-      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_v, psi_v_mu);
-  const la::RealMatrix ac =
-      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c, psi_c_mu);
-  la::RealMatrix zct(nr, nmu);
-#pragma omp parallel for schedule(static)
-  for (Index r = 0; r < nr; ++r) {
-    const Real* v = av.row_ptr(r);
-    const Real* c = ac.row_ptr(r);
-    Real* out = zct.row_ptr(r);
-    for (Index m = 0; m < nmu; ++m) out[m] = v[m] * c[m];
+  // Z Cᵀ via the separable Hadamard structure, formed in the output: the
+  // valence factor Ψ Ψ_μᵀ first, then the conduction factor Φ Φ_μᵀ one row
+  // chunk at a time, multiplied in. gemm_many always packs, so each chunk
+  // rounds like the whole product's packed gemm.
+  la::RealMatrix theta(nr, nmu);
+  la::gemm(la::Trans::kNo, la::Trans::kYes, Real{1}, psi_v, psi_v_mu,
+           Real{0}, theta.view());
+  {
+    constexpr Index kRowChunk = 128;
+    la::RealMatrix ac(std::min(kRowChunk, nr), nmu);
+    for (Index r0 = 0; r0 < nr; r0 += kRowChunk) {
+      const Index rows = std::min(kRowChunk, nr - r0);
+      const la::RealView ac_rows = ac.view().rows_block(0, rows);
+      la::gemm_many(la::Trans::kNo, la::Trans::kYes, Real{1},
+                    {{psi_c.rows_block(r0, rows), ac_rows}}, psi_c_mu,
+                    Real{0});
+      for (Index r = 0; r < rows; ++r) {
+        const Real* c = ac_rows.row_ptr(r);
+        Real* out = theta.row_ptr(r0 + r);
+        for (Index m = 0; m < nmu; ++m) out[m] *= c[m];
+      }
+    }
   }
 
-  // C Cᵀ likewise (Nμ x Nμ).
-  const la::RealMatrix gv =
+  // C Cᵀ likewise (Nμ x Nμ), formed in the valence factor.
+  la::RealMatrix cct =
       la::gemm(la::Trans::kNo, la::Trans::kYes, psi_v_mu, psi_v_mu);
-  const la::RealMatrix gc =
-      la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c_mu, psi_c_mu);
-  la::RealMatrix cct(nmu, nmu);
-  for (Index m = 0; m < nmu; ++m) {
-    for (Index l = 0; l < nmu; ++l) cct(m, l) = gv(m, l) * gc(m, l);
+  {
+    const la::RealMatrix gc =
+        la::gemm(la::Trans::kNo, la::Trans::kYes, psi_c_mu, psi_c_mu);
+    for (Index m = 0; m < nmu; ++m) {
+      for (Index l = 0; l < nmu; ++l) cct(m, l) *= gc(m, l);
+    }
   }
 
-  // Θ = (Z Cᵀ)(C Cᵀ)⁻¹ — SPD system solved from the right.
-  return la::solve_gram_from_right(zct.view(), cct.view());
+  // Θ = (Z Cᵀ)(C Cᵀ)⁻¹ — SPD system solved from the right, in place.
+  static obs::Counter& ridge = obs::counter("isdf.theta.ridge");
+  if (la::solve_gram_from_right_in_place(theta.view(), cct.view())) {
+    ridge.add(1);
+  }
+  return theta;
 }
 
 la::RealMatrix interpolation_vectors_direct(la::RealConstView psi_v,

@@ -20,27 +20,32 @@ RealMatrix lstsq_qr(RealConstView a, RealConstView b) {
 
 RealMatrix solve_gram_from_right(RealConstView b, RealConstView gram_matrix,
                                  Real ridge) {
-  LRT_CHECK(gram_matrix.rows() == gram_matrix.cols(),
-            "gram matrix must be square");
-  LRT_CHECK(b.cols() == gram_matrix.rows(), "shape mismatch");
-  const Index n = gram_matrix.rows();
-
+  RealMatrix x = to_matrix(b);
   RealMatrix g = to_matrix(gram_matrix);
+  solve_gram_from_right_in_place(x.view(), g.view(), ridge);
+  return x;
+}
+
+bool solve_gram_from_right_in_place(RealView b, RealView gram, Real ridge) {
+  LRT_CHECK(gram.rows() == gram.cols(), "gram matrix must be square");
+  LRT_CHECK(b.cols() == gram.rows(), "shape mismatch");
+  const Index n = gram.rows();
+
   RealMatrix l;
-  if (!try_cholesky(g.view(), l)) {
+  const bool refused = !try_cholesky(gram, l);
+  if (refused) {
     // Tikhonov-regularize: the ISDF Gram matrix C Cᵀ can be numerically
     // rank-deficient when clusters collapse; a tiny ridge keeps the
     // least-squares solution stable without visibly moving Θ.
     Real trace = 0.0;
-    for (Index i = 0; i < n; ++i) trace += g(i, i);
+    for (Index i = 0; i < n; ++i) trace += gram(i, i);
     const Real shift = ridge * (trace > Real{0} ? trace / Real(n) : Real{1});
-    for (Index i = 0; i < n; ++i) g(i, i) += shift;
-    l = cholesky(g.view());
+    for (Index i = 0; i < n; ++i) gram(i, i) += shift;
+    l = cholesky(gram);
   }
   // X G = B with G = L Lᵀ  =>  X = B L⁻ᵀ L⁻¹.
-  RealMatrix x = to_matrix(b);
-  solve_right(l.view(), x.view(), RightSolve::kCholesky);
-  return x;
+  solve_right(l.view(), b, RightSolve::kCholesky);
+  return refused;
 }
 
 }  // namespace lrt::la

@@ -19,4 +19,11 @@ RealMatrix lstsq_qr(RealConstView a, RealConstView b);
 RealMatrix solve_gram_from_right(RealConstView b, RealConstView gram_matrix,
                                  Real ridge = 1e-12);
 
+/// In-place form of solve_gram_from_right, bit for bit: overwrites `b`
+/// with B G⁻¹ and keeps no copy of it. `gram` is G on entry; it is left
+/// shifted by the ridge when that path runs. Returns true when
+/// try_cholesky refused G and the ridge path ran.
+bool solve_gram_from_right_in_place(RealView b, RealView gram,
+                                    Real ridge = 1e-12);
+
 }  // namespace lrt::la

@@ -257,11 +257,11 @@ void solve_right(RealConstView l, RealView a, RightSolve what) {
   }
   if (a.rows() == 0 || n == 0) return;
   const bool backward = what == RightSolve::kCholesky;
-  // The backward sweep reads L by columns; one transposed copy makes those
-  // reads contiguous too.
-  const RealMatrix lt = backward ? transpose(l) : RealMatrix();
   std::vector<Real> tile(static_cast<std::size_t>(n * kRightLanes));
   if (n <= kBlockedOrderCrossover) {
+    // The backward sweep reads L by columns; one transposed copy makes
+    // those reads contiguous too.
+    const RealMatrix lt = backward ? transpose(l) : RealMatrix();
     substitute_right(l, lt.view(), a, true, backward, tile.data());
     return;
   }
@@ -291,8 +291,10 @@ void solve_right(RealConstView l, RealView a, RightSolve what) {
       gemm(Trans::kNo, Trans::kNo, Real{-1}, a.cols_block(j0 + w, rest),
            l.block(j0 + w, j0, rest, w), Real{1}, yj);
     }
-    substitute_right(l.block(j0, j0, w, w), lt.view().block(j0, j0, w, w), yj,
-                     false, true, tile.data());
+    // Only the diagonal block is read by columns; transpose just that.
+    const RealMatrix ltj = transpose(l.block(j0, j0, w, w));
+    substitute_right(l.block(j0, j0, w, w), ltj.view(), yj, false, true,
+                     tile.data());
   }
 }
 

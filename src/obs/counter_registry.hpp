@@ -17,6 +17,7 @@ namespace lrt::obs::cnt {
 inline constexpr const char* kKmeansAssignFull = "kmeans.assign.full";  // points fully re-scanned in an assign sweep
 inline constexpr const char* kKmeansAssignSkipped = "kmeans.assign.skipped";  // points skipped by the triangle-inequality prune
 inline constexpr const char* kKmeansIterations = "kmeans.iterations";  // Lloyd iterations executed (one add per rank)
+inline constexpr const char* kIsdfThetaRidge = "isdf.theta.ridge";  // Θ fits whose C Cᵀ Cholesky was refused, so the ridge ran (one add per rank)
 inline constexpr const char* kLaLobpcgIterations = "la.lobpcg.iterations";  // LOBPCG outer iterations executed
 inline constexpr const char* kLaGemmCalls = "la.gemm.calls";  // gemm entry calls
 inline constexpr const char* kLaGemmFlops = "la.gemm.flops";  // floating-point operations billed to gemm
@@ -61,6 +62,7 @@ inline constexpr const char* kAll[] = {
     kKmeansAssignFull,
     kKmeansAssignSkipped,
     kKmeansIterations,
+    kIsdfThetaRidge,
     kLaLobpcgIterations,
     kLaGemmCalls,
     kLaGemmFlops,

@@ -37,7 +37,6 @@ inline constexpr const char* kParDistLobpcg = "par.dist_lobpcg";  // distributed
 inline constexpr const char* kParGramReduceMonolithic = "par.gram_reduce.monolithic";  // Gram reduction, single allreduce
 inline constexpr const char* kParGramReducePipelined = "par.gram_reduce.pipelined";  // Gram reduction, pipelined allreduce
 inline constexpr const char* kParTranspose = "par.transpose";  // pencil transpose (alltoallv)
-inline constexpr const char* kParOverlapPack = "par.overlap.pack";  // slab packing overlapped with an i_* exchange
 inline constexpr const char* kParOverlapWait = "par.overlap.wait";  // drain of a nonblocking collective's receives
 inline constexpr const char* kBarrier = "barrier";  // dissemination barrier
 inline constexpr const char* kBcast = "bcast";  // binomial-tree broadcast
@@ -105,7 +104,6 @@ inline constexpr const char* kAll[] = {
     kParGramReduceMonolithic,
     kParGramReducePipelined,
     kParTranspose,
-    kParOverlapPack,
     kParOverlapWait,
     kBarrier,
     kBcast,

@@ -139,6 +139,8 @@ class Comm {
   template <typename T>
   void allgather(const T* send_buf, Index count, T* recv_buf);
 
+  /// Variable-count ring allgather. In place when send_buf is
+  /// recv_buf + displs[rank].
   template <typename T>
   void allgatherv(const T* send_buf, Index count, T* recv_buf,
                   const std::vector<Index>& counts,

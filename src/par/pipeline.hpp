@@ -33,4 +33,13 @@ PipelineResult gram_reduce_pipelined(Comm& comm, la::RealConstView a_local,
                                      la::RealConstView b_local,
                                      Index chunk_rows = 64);
 
+/// Sums `c` (same shape on every rank) over ranks in place, delivered
+/// the pipelined way for a product assembled up front: chunks of
+/// `chunk_rows` rows are reduced to the rank owning them (BlockPartition
+/// of the rows), then one allgatherv replicates the owned rows. Makes
+/// the reduce and allgatherv calls of gram_reduce_pipelined followed by
+/// an allgatherv of its rows.
+void allreduce_via_row_owners(Comm& comm, la::RealMatrix& c,
+                              Index chunk_rows = 64);
+
 }  // namespace lrt::par

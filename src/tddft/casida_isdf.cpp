@@ -7,23 +7,8 @@ namespace lrt::tddft {
 la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
                                        const HxcKernel& kernel,
                                        obs::WallProfiler* profiler) {
-  const la::RealMatrix& theta = isdf_result.theta;
-  la::RealMatrix ktheta(theta.rows(), theta.cols());
-  kernel.apply(theta.view(), ktheta.view(), profiler);
-
-  Timer t;
-  la::RealMatrix m =
-      la::gemm(la::Trans::kYes, la::Trans::kNo, theta.view(), ktheta.view());
-  const Real dv = kernel.dv();
-  for (Index i = 0; i < m.rows(); ++i) {
-    for (Index j = i; j < m.cols(); ++j) {
-      const Real avg = Real{0.5} * dv * (m(i, j) + m(j, i));
-      m(i, j) = avg;
-      m(j, i) = avg;
-    }
-  }
-  if (profiler) profiler->add("gemm", t.seconds());
-  return m;
+  return kernel_projection(kernel, isdf_result.theta.view(), nullptr,
+                           wall_phases(profiler));
 }
 
 la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,

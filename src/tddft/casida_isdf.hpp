@@ -10,7 +10,8 @@
 
 namespace lrt::tddft {
 
-/// M = Θᵀ (v_H + f_xc) Θ dv (symmetrized). Profile phases: "fft", "gemm".
+/// M = Θᵀ (v_H + f_xc) Θ dv (symmetrized): kernel_projection of Θ.
+/// Profile phases: "fft", "gemm" (wall seconds).
 la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
                                        const HxcKernel& kernel,
                                        obs::WallProfiler* profiler = nullptr);

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "isdf/pairproduct.hpp"
-#include "la/blas.hpp"
 #include "la/eig.hpp"
 
 namespace lrt::tddft {
@@ -27,9 +26,6 @@ std::vector<Real> energy_differences(const CasidaProblem& problem) {
 la::RealMatrix build_hamiltonian_naive(const CasidaProblem& problem,
                                        const HxcKernel& kernel,
                                        obs::WallProfiler* profiler) {
-  const Index ncv = problem.ncv();
-  const Real dv = problem.grid.dv();
-
   // Line 2 of Algorithm 1: the face-splitting product.
   la::RealMatrix pvc;
   {
@@ -39,29 +35,24 @@ la::RealMatrix build_hamiltonian_naive(const CasidaProblem& problem,
     if (profiler) profiler->add("pair_product", t.seconds());
   }
 
-  // Lines 4-5: kernel application to all pair densities (Nv*Nc FFTs).
-  la::RealMatrix kpvc(problem.nr(), ncv);
-  kernel.apply(pvc.view(), kpvc.view(), profiler);
+  // Lines 4-7: Vhxc = Pvcᵀ (K Pvc) dv, the kernel streamed over column
+  // slices of Pvc (Nv*Nc FFTs) into GEMMs; line 10: H = D + 2 Vhxc.
+  return casida_hamiltonian(
+      kernel_projection(kernel, pvc.view(), nullptr, wall_phases(profiler)),
+      energy_differences(problem));
+}
 
-  // Line 7: Vhxc = Pvcᵀ (K Pvc) dv via one large GEMM.
-  la::RealMatrix h;
-  {
-    Timer t;
-    h = la::gemm(la::Trans::kYes, la::Trans::kNo, pvc.view(), kpvc.view());
-    if (profiler) profiler->add("gemm", t.seconds());
+la::RealMatrix casida_hamiltonian(la::RealMatrix vhxc,
+                                  const std::vector<Real>& d) {
+  const Index n = vhxc.rows();
+  LRT_CHECK(vhxc.cols() == n && static_cast<Index>(d.size()) == n,
+            "Vhxc / energy-difference shape mismatch");
+  for (Index i = 0; i < n; ++i) {
+    Real* row = vhxc.row_ptr(i);
+    for (Index j = 0; j < n; ++j) row[j] *= Real{2};
+    row[i] += d[static_cast<std::size_t>(i)];
   }
-
-  // H = D + 2 Vhxc (line 10); also symmetrize Vhxc roundoff.
-  const std::vector<Real> d = energy_differences(problem);
-  for (Index i = 0; i < ncv; ++i) {
-    for (Index j = i; j < ncv; ++j) {
-      const Real v = dv * (h(i, j) + h(j, i));  // = 2*avg*dv
-      h(i, j) = v;
-      h(j, i) = v;
-    }
-    h(i, i) += d[static_cast<std::size_t>(i)];
-  }
-  return h;
+  return vhxc;
 }
 
 CasidaSolution diagonalize_dense(const la::RealMatrix& hamiltonian,

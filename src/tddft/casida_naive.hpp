@@ -43,6 +43,11 @@ la::RealMatrix build_hamiltonian_naive(const CasidaProblem& problem,
                                        const HxcKernel& kernel,
                                        obs::WallProfiler* profiler = nullptr);
 
+/// H = D + 2 Vhxc (Eq 2) from Vhxc = kernel_projection of the pair
+/// products and the pair-ordered energy differences d, in place.
+la::RealMatrix casida_hamiltonian(la::RealMatrix vhxc,
+                                  const std::vector<Real>& d);
+
 /// Dense diagonalization returning the lowest `num_states` excitation
 /// energies and eigenvectors (ScaLAPACK::SYEVD stand-in; paper Alg 1
 /// line 11). Profile phase: "diag".

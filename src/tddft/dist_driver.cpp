@@ -6,12 +6,9 @@
 #include "isdf/interpolation.hpp"
 #include "isdf/pairproduct.hpp"
 #include "kmeans/kmeans.hpp"
-#include "la/blas.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "par/disteig.hpp"
-#include "par/pipeline.hpp"
-#include "par/transpose.hpp"
 #include "obs/phase_registry.hpp"
 
 namespace lrt::tddft {
@@ -64,31 +61,20 @@ la::RealConstView my_rows(la::RealConstView full, const par::BlockPartition& par
   return full.rows_block(part.offset(rank), part.count(rank));
 }
 
-/// Applies the kernel to a row-block distributed matrix: alltoall to
-/// column blocks, per-column FFT kernel, alltoall back. Phases: mpi, fft.
-la::RealMatrix kernel_apply_distributed(par::Comm& comm,
-                                        const HxcKernel& kernel,
-                                        la::RealConstView local_rows,
-                                        Index n_rows, Index n_cols,
-                                        PhaseClock& clock) {
-  // Overlapped exchanges: each alltoall is sliced and double-buffered so
-  // packing of one slice hides behind the flight time of the previous one
-  // (par.overlap.* spans); bitwise identical to the blocking variant.
-  PhaseTimer t_mpi(clock, obs::phase::kMpi);
-  la::RealMatrix cols =
-      par::row_block_to_col_block_overlapped(comm, local_rows, n_rows, n_cols);
-  t_mpi.stop();
+/// kernel_projection's steps, billed like every other driver phase.
+PhaseRunner cpu_phases(PhaseClock& clock) {
+  return [&clock](const char* phase, const std::function<void()>& step) {
+    PhaseTimer t(clock, phase);
+    step();
+  };
+}
 
-  la::RealMatrix kcols(cols.rows(), cols.cols());
-  PhaseTimer t_fft(clock, obs::phase::kFft);
-  kernel.apply(cols.view(), kcols.view(), nullptr);
-  t_fft.stop();
-
-  PhaseTimer t_mpi2(clock, obs::phase::kMpi);
-  la::RealMatrix result =
-      par::col_block_to_row_block_overlapped(comm, kcols.view(), n_rows, n_cols);
-  t_mpi2.stop();
-  return result;
+/// kernel_projection's reduction: chunk rows for the pipelined reduce to
+/// the row owners (Algorithm 1 lines 7-8, Fig 5), or 0 for one allreduce.
+Index reduce_chunk(const DistDriverOptions& options) {
+  if (!options.pipelined_reduce) return 0;
+  LRT_CHECK(options.pipeline_chunk >= 1, "pipeline_chunk must be positive");
+  return options.pipeline_chunk;
 }
 
 /// Serializes the replicated K-Means phase result for the phase-granular
@@ -152,47 +138,6 @@ kmeans::KMeansResult load_driver_kmeans(const std::string& path,
   return km;
 }
 
-/// H = D + 2 dv sym(V) applied in place to a replicated raw product V.
-void finalize_hamiltonian(la::RealMatrix& h, const std::vector<Real>& d,
-                          Real dv) {
-  const Index n = h.rows();
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i; j < n; ++j) {
-      const Real v = dv * (h(i, j) + h(j, i));
-      h(i, j) = v;
-      h(j, i) = v;
-    }
-    h(i, i) += d[static_cast<std::size_t>(i)];
-  }
-}
-
-/// Aᵀ B replicated on every rank, for row slabs a_loc and b_loc of the
-/// same global rows (Algorithm 1 lines 7-8): one monolithic allreduce, or
-/// with options.pipelined_reduce the pipelined reduce to the row owners
-/// followed by an allgatherv of the owned rows.
-la::RealMatrix replicated_gram(par::Comm& comm, la::RealConstView a_loc,
-                               la::RealConstView b_loc,
-                               const DistDriverOptions& options) {
-  if (!options.pipelined_reduce) {
-    return par::gram_reduce_monolithic(comm, a_loc, b_loc);
-  }
-  const par::PipelineResult piped =
-      par::gram_reduce_pipelined(comm, a_loc, b_loc, options.pipeline_chunk);
-  const Index rows = a_loc.cols();
-  const Index cols = b_loc.cols();
-  la::RealMatrix c(rows, cols);
-  std::vector<Index> counts(static_cast<std::size_t>(comm.size()));
-  std::vector<Index> displs(static_cast<std::size_t>(comm.size()));
-  const par::BlockPartition out_rows(rows, comm.size());
-  for (int r = 0; r < comm.size(); ++r) {
-    counts[static_cast<std::size_t>(r)] = out_rows.count(r) * cols;
-    displs[static_cast<std::size_t>(r)] = out_rows.offset(r) * cols;
-  }
-  comm.allgatherv(piped.local_rows.data(), piped.local_rows.size(), c.data(),
-                  counts, displs);
-  return c;
-}
-
 std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
                               const HxcKernel& kernel,
                               const DistDriverOptions& options,
@@ -202,24 +147,21 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
   const Index ncv = problem.ncv();
   const par::BlockPartition rows(nr, comm.size());
 
-  // Row-block pair products (Algorithm 1 line 2).
-  PhaseTimer t_pair(clock, obs::phase::kPairProduct);
-  const la::RealMatrix p_loc = isdf::pair_product_matrix(
-      my_rows(problem.psi_v.view(), rows, me),
-      my_rows(problem.psi_c.view(), rows, me));
-  t_pair.stop();
-
-  // Kernel with the alltoall sandwich (lines 3-6).
-  const la::RealMatrix kp_loc = kernel_apply_distributed(
-      comm, kernel, p_loc.view(), nr, ncv, clock);
-
-  // Vhxc assembly (lines 7-8): GEMM + Allreduce, or pipelined Reduce.
-  PhaseTimer t_gemm(clock, obs::phase::kGemm);
-  la::RealMatrix h =
-      replicated_gram(comm, p_loc.view(), kp_loc.view(), options);
-  t_gemm.stop();
-
-  finalize_hamiltonian(h, energy_differences(problem), problem.grid.dv());
+  // Row-block pair products (Algorithm 1 line 2), then the kernel
+  // sandwich and Vhxc assembly streamed over column slices (lines 3-8)
+  // and H = D + 2 Vhxc. The pair products are freed before the solve.
+  la::RealMatrix h;
+  {
+    PhaseTimer t_pair(clock, obs::phase::kPairProduct);
+    const la::RealMatrix p_loc = isdf::pair_product_matrix(
+        my_rows(problem.psi_v.view(), rows, me),
+        my_rows(problem.psi_c.view(), rows, me));
+    t_pair.stop();
+    h = casida_hamiltonian(kernel_projection(kernel, p_loc.view(), &comm,
+                                             cpu_phases(clock),
+                                             reduce_chunk(options)),
+                           energy_differences(problem));
+  }
 
   // Dense diagonalization via the block-cyclic SYEVD stand-in (Fig 3c).
   PhaseTimer t_diag(clock, obs::phase::kDiag);
@@ -303,27 +245,18 @@ std::vector<Real> solve_implicit(par::Comm& comm,
       la::to_matrix<Real>(samp.view().cols_block(nv, nc));
   t_mpi.stop();
 
-  // Local rows of Θ via the separable products (paper Eq 10).
-  PhaseTimer t_gemm(clock, obs::phase::kGemm);
-  const la::RealMatrix theta_loc = isdf::interpolation_vectors(
-      psi_v_loc, psi_c_loc, psi_v_mu.view(), psi_c_mu.view());
-  t_gemm.stop();
-
-  // M = Θᵀ K Θ dv: kernel sandwich + distributed Gram.
-  const la::RealMatrix ktheta_loc = kernel_apply_distributed(
-      comm, kernel, theta_loc.view(), nr, nmu, clock);
-  PhaseTimer t_gemm2(clock, obs::phase::kGemm);
-  la::RealMatrix m_mat =
-      replicated_gram(comm, theta_loc.view(), ktheta_loc.view(), options);
-  const Real dv = problem.grid.dv();
-  for (Index i = 0; i < nmu; ++i) {
-    for (Index j = i; j < nmu; ++j) {
-      const Real avg = Real{0.5} * dv * (m_mat(i, j) + m_mat(j, i));
-      m_mat(i, j) = avg;
-      m_mat(j, i) = avg;
-    }
+  // Local rows of Θ via the separable products (paper Eq 10), then
+  // M = Θᵀ K Θ dv with the kernel sandwich streamed over column slices.
+  // Θ is freed before the eigensolve.
+  la::RealMatrix m_mat;
+  {
+    PhaseTimer t_gemm(clock, obs::phase::kGemm);
+    const la::RealMatrix theta_loc = isdf::interpolation_vectors(
+        psi_v_loc, psi_c_loc, psi_v_mu.view(), psi_c_mu.view());
+    t_gemm.stop();
+    m_mat = kernel_projection(kernel, theta_loc.view(), &comm,
+                              cpu_phases(clock), reduce_chunk(options));
   }
-  t_gemm2.stop();
 
   // Distributed implicit LOBPCG (Algorithm 2): the excitation vectors are
   // row-block partitioned over the pair space (valence blocks), the 3k x

@@ -2,13 +2,17 @@
 //
 // Reproduces the parallel data flow of the paper on the thread-backed
 // runtime:
-//  - wavefunctions and pair products are ROW-BLOCK partitioned over the
-//    real-space grid (Fig 3b) for face-splitting products and GEMMs;
-//  - MPI_Alltoall converts to COLUMN blocks (Fig 3a) so each rank runs
-//    its FFTs (the f_Hxc kernel) on whole pair columns, then converts
-//    back;
-//  - Vhxc is assembled with local GEMM + Allreduce, or the pipelined
-//    GEMM + MPI_Reduce of §5.3 (Fig 4-5);
+//  - wavefunctions, pair products and Θ are ROW-BLOCK partitioned over
+//    the real-space grid (Fig 3b) for face-splitting products and GEMMs;
+//    the Θ fit runs in place on each rank's slab;
+//  - tddft::kernel_projection streams the f_Hxc sandwich in four column
+//    slices: per slice, MPI_Alltoall converts to COLUMN blocks (Fig 3a)
+//    so each rank runs its FFTs on whole columns, in place, converts
+//    back, and a GEMM adds the slice to this rank's partial of
+//    Vhxc = Pᵀ f_Hxc P (naive) or M = Θᵀ f_Hxc Θ (ISDF). Only one
+//    slice of f_Hxc F is alive at a time;
+//  - the partial is reduced once: Allreduce, or the pipelined reduce to
+//    the row owners plus an allgatherv of §5.3 (Fig 4-5);
 //  - the naive path redistributes H to 2-D block-cyclic and calls the
 //    dense eigensolver (Fig 3c); the ISDF paths run distributed K-Means
 //    and keep the small factored Hamiltonian replicated for LOBPCG.
@@ -42,8 +46,8 @@ struct DistDriverOptions {
     top_weight.seeding = kmeans::Seeding::kTopWeight;
     return top_weight;
   }();
-  /// Vhxc assembly: pipelined GEMM+Reduce (true) vs monolithic
-  /// GEMM+Allreduce (false).
+  /// Vhxc / M reduction: chunks of pipeline_chunk rows reduced to their
+  /// row owners, then an allgatherv (true), vs one Allreduce (false).
   bool pipelined_reduce = false;
   Index pipeline_chunk = 64;
   /// Phase-granular restart (docs/RESILIENCE.md): when non-empty and the

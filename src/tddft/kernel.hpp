@@ -10,6 +10,7 @@
 // real-space multiply folded into the same pass.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -17,6 +18,7 @@
 #include "grid/gvectors.hpp"
 #include "la/matrix.hpp"
 #include "obs/obs.hpp"
+#include "par/comm.hpp"
 
 namespace lrt::tddft {
 
@@ -44,5 +46,34 @@ class HxcKernel {
   fft::PoissonSolver poisson_;
   std::vector<Real> fxc_;  ///< zeros when include_xc == false
 };
+
+/// Runs one step of kernel_projection under its Figure-8 phase
+/// (obs::phase::kMpi, kFft or kGemm). The caller picks the clock and
+/// where the seconds go; an empty runner just runs the step.
+using PhaseRunner =
+    std::function<void(const char* phase, const std::function<void()>& step)>;
+
+/// M = sym(Fᵀ f_Hxc F)·dv for the columns of F (Nr x k): Θ for the ISDF
+/// paths, the pair products P for the naive one. Replicated on return.
+///
+/// `rows` holds every row of F when `comm` is null, else this rank's
+/// BlockPartition row slab. The kernel sandwich is streamed in four
+/// column slices (par::ColumnSlices): per slice, the exchange to column
+/// blocks, the kernel in place, the exchange back, and a GEMM into the
+/// matching rows of this rank's partial (f_Hxc F)ᵀ F. Only one slice of
+/// f_Hxc F is ever alive. The partial is reduced once at the end: one
+/// allreduce, or with pipeline_chunk > 0 par::allreduce_via_row_owners
+/// in chunks of that many rows. Without a communicator or with the
+/// allreduce, M is bit for bit gemm(Fᵀ, f_Hxc F) reduced and symmetrized
+/// whenever that gemm takes the packed path (k²·rows ≥ 24³).
+la::RealMatrix kernel_projection(const HxcKernel& kernel,
+                                 la::RealConstView rows,
+                                 par::Comm* comm = nullptr,
+                                 const PhaseRunner& phase = {},
+                                 Index pipeline_chunk = 0);
+
+/// A PhaseRunner adding each step's wall seconds to `profiler` (empty
+/// for a null profiler).
+PhaseRunner wall_phases(obs::WallProfiler* profiler);
 
 }  // namespace lrt::tddft

@@ -163,46 +163,68 @@ TEST(NonblockingCollectives, AllgathervMatchesBlockingExactly) {
   });
 }
 
-// ----- overlapped transpose ---------------------------------------------------
+// ----- sliced transpose -------------------------------------------------------
 
-class OverlapSweep : public ::testing::TestWithParam<int> {};
+class SliceExchangeSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(OverlapSweep, RealTransposeBitwiseMatchesBlocking) {
+TEST_P(SliceExchangeSweep, SlicesTileEachBlockAndMoveEveryValueExactly) {
   const int p = GetParam();
+  // 17 columns: at p = 2 and 4 some rank holds an odd column count.
   const Index n_rows = 23, n_cols = 17;
   Rng rng(7);
   const la::RealMatrix global = la::RealMatrix::random_normal(n_rows, n_cols,
                                                               rng);
-  for (const Index chunks : {Index{1}, Index{2}, Index{4}, Index{7}}) {
-    par::run(p, [&](par::Comm& comm) {
-      const par::BlockPartition rows(n_rows, comm.size());
-      const la::RealConstView my_rows = global.view().rows_block(
-          rows.offset(comm.rank()), rows.count(comm.rank()));
-      const la::RealMatrix blocking =
-          par::row_block_to_col_block(comm, my_rows, n_rows, n_cols);
-      const la::RealMatrix overlapped = par::row_block_to_col_block_overlapped(
-          comm, my_rows, n_rows, n_cols, chunks);
-      ASSERT_EQ(overlapped.rows(), blocking.rows());
-      ASSERT_EQ(overlapped.cols(), blocking.cols());
-      for (Index i = 0; i < blocking.rows(); ++i) {
-        for (Index j = 0; j < blocking.cols(); ++j) {
-          EXPECT_EQ(overlapped(i, j), blocking(i, j))
-              << "p=" << p << " chunks=" << chunks;
+  for (const Index n_slices : {Index{1}, Index{2}, Index{4}, Index{7}}) {
+    const par::ColumnSlices slices(n_cols, p, n_slices);
+    const par::BlockPartition blocks(n_cols, p);
+    for (int q = 0; q < p; ++q) {
+      // The runs tile q's block in order; all but an odd block's last
+      // column come in pairs that start at even offsets.
+      Index next = blocks.offset(q);
+      for (Index s = 0; s < n_slices; ++s) {
+        EXPECT_EQ(slices.offset(q, s), next) << "q=" << q << " s=" << s;
+        EXPECT_EQ((slices.offset(q, s) - blocks.offset(q)) % 2, 0);
+        if (s + 1 < n_slices) {
+          EXPECT_EQ(slices.count(q, s) % 2, 0);
         }
+        next += slices.count(q, s);
       }
-      // And back: the inverse overlapped exchange restores the row block.
-      const la::RealMatrix back = par::col_block_to_row_block_overlapped(
-          comm, overlapped.view(), n_rows, n_cols, chunks);
-      for (Index i = 0; i < my_rows.rows(); ++i) {
-        for (Index j = 0; j < n_cols; ++j) {
-          EXPECT_EQ(back(i, j), my_rows(i, j));
+      EXPECT_EQ(next, blocks.offset(q) + blocks.count(q));
+    }
+    par::run(p, [&](par::Comm& comm) {
+      const int me = comm.rank();
+      const par::BlockPartition rows(n_rows, comm.size());
+      const la::RealConstView my_rows =
+          global.view().rows_block(rows.offset(me), rows.count(me));
+      par::SliceExchange exchange(comm, n_rows, slices);
+      for (Index s = 0; s < n_slices; ++s) {
+        const la::RealView cols = exchange.to_cols(s, my_rows);
+        ASSERT_EQ(cols.rows(), n_rows);
+        ASSERT_EQ(cols.cols(), slices.count(me, s));
+        for (Index i = 0; i < n_rows; ++i) {
+          for (Index j = 0; j < cols.cols(); ++j) {
+            EXPECT_EQ(cols(i, j), global(i, slices.offset(me, s) + j))
+                << "p=" << p << " slices=" << n_slices;
+          }
+        }
+        // And back: rank q's run of the slice, rank by rank.
+        const la::RealConstView back = exchange.to_rows(s, cols);
+        ASSERT_EQ(back.cols(), slices.width(s));
+        Index c0 = 0;
+        for (int q = 0; q < comm.size(); ++q) {
+          for (Index i = 0; i < my_rows.rows(); ++i) {
+            for (Index j = 0; j < slices.count(q, s); ++j) {
+              EXPECT_EQ(back(i, c0 + j), my_rows(i, slices.offset(q, s) + j));
+            }
+          }
+          c0 += slices.count(q, s);
         }
       }
     });
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, OverlapSweep,
+INSTANTIATE_TEST_SUITE_P(RankCounts, SliceExchangeSweep,
                          ::testing::Values(1, 2, 3, 4));
 
 // ----- batched GEMM -----------------------------------------------------------

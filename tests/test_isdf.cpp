@@ -11,6 +11,8 @@
 #include "isdf/isdf.hpp"
 #include "isdf/pairproduct.hpp"
 #include "la/blas.hpp"
+#include "la/lstsq.hpp"
+#include "obs/counters.hpp"
 
 namespace lrt::isdf {
 namespace {
@@ -133,6 +135,65 @@ TEST(Interpolation, ExactAtInterpolationPoints) {
       la::gemm(la::Trans::kNo, la::Trans::kNo, theta.view(), cct.view());
   EXPECT_LT(la::max_abs_diff(tcct.view(), zc.view()),
             1e-6 * (1.0 + la::max_abs(zc.view())));
+}
+
+TEST(Interpolation, InPlaceFitMatchesSeparableFormulaBitwise) {
+  // The fit forms Z Cᵀ in its output, one conduction row chunk at a time,
+  // and solves in place. Oracle: the whole-matrix formula it replaced.
+  // 1000 rows leave a partial last chunk, and every product here is above
+  // gemm's packed-path threshold, where chunked and whole gemms round
+  // alike.
+  OrbitalFixture f;
+  const auto points = select_points_qrcp(f.v(), f.c(), 15, {});
+  const la::RealMatrix vmu = sample_rows(f.v(), points);
+  const la::RealMatrix cmu = sample_rows(f.c(), points);
+  const la::RealMatrix av =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, f.v(), vmu.view());
+  const la::RealMatrix ac =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, f.c(), cmu.view());
+  la::RealMatrix zct(av.rows(), av.cols());
+  for (Index r = 0; r < zct.rows(); ++r) {
+    for (Index m = 0; m < zct.cols(); ++m) zct(r, m) = av(r, m) * ac(r, m);
+  }
+  const la::RealMatrix gv =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, vmu.view(), vmu.view());
+  const la::RealMatrix gc =
+      la::gemm(la::Trans::kNo, la::Trans::kYes, cmu.view(), cmu.view());
+  la::RealMatrix cct(gv.rows(), gv.cols());
+  for (Index m = 0; m < cct.rows(); ++m) {
+    for (Index l = 0; l < cct.cols(); ++l) cct(m, l) = gv(m, l) * gc(m, l);
+  }
+  const la::RealMatrix want = la::solve_gram_from_right(zct.view(), cct.view());
+  const la::RealMatrix got = f.theta(points);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (Index r = 0; r < want.rows(); ++r) {
+    for (Index m = 0; m < want.cols(); ++m) {
+      ASSERT_EQ(got(r, m), want(r, m)) << "(" << r << ", " << m << ")";
+    }
+  }
+}
+
+TEST(Interpolation, RidgeCounterCountsRefusedGramMatrices) {
+  // A repeated interpolation point makes two rows of C equal, so C Cᵀ is
+  // singular: try_cholesky refuses it and the ridge path runs once.
+  OrbitalFixture f;
+  obs::Counter& ridge = obs::counter("isdf.theta.ridge");
+  const auto points = select_points_qrcp(f.v(), f.c(), 12, {});
+  long long before = ridge.value();
+  (void)f.theta(points);
+  EXPECT_EQ(ridge.value() - before, 0) << "well-conditioned fit";
+
+  std::vector<Index> repeated = points;
+  repeated.back() = repeated.front();
+  before = ridge.value();
+  const la::RealMatrix theta = f.theta(repeated);
+  EXPECT_EQ(ridge.value() - before, 1) << "repeated point";
+  for (Index r = 0; r < theta.rows(); ++r) {
+    for (Index m = 0; m < theta.cols(); ++m) {
+      ASSERT_TRUE(std::isfinite(theta(r, m)));
+    }
+  }
 }
 
 TEST(Isdf, ErrorDecaysWithNmu) {

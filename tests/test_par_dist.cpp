@@ -110,8 +110,9 @@ TEST_P(DistSweep, RowColTransposeRoundTrip) {
         full.view().rows_block(rows.offset(comm.rank()),
                                rows.count(comm.rank()));
 
-    const la::RealMatrix my_cols = row_block_to_col_block(
-        comm, my_rows, m, n);
+    // One slice: the whole column block each way.
+    SliceExchange exchange(comm, m, ColumnSlices(n, p, 1));
+    const la::RealConstView my_cols = exchange.to_cols(0, my_rows);
     const BlockPartition cols(n, p);
     EXPECT_EQ(my_cols.rows(), m);
     EXPECT_EQ(my_cols.cols(), cols.count(comm.rank()));
@@ -122,9 +123,8 @@ TEST_P(DistSweep, RowColTransposeRoundTrip) {
       }
     }
 
-    const la::RealMatrix back =
-        col_block_to_row_block(comm, my_cols.view(), m, n);
-    EXPECT_LT(la::max_abs_diff(back.view(), my_rows), 1e-14);
+    const la::RealConstView back = exchange.to_rows(0, my_cols);
+    EXPECT_LT(la::max_abs_diff(back, my_rows), 1e-14);
   });
 }
 

@@ -5,8 +5,11 @@
 #include <cmath>
 
 #include "dft/synthetic.hpp"
+#include "isdf/pairproduct.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
+#include "par/layout.hpp"
+#include "par/runtime.hpp"
 #include "tddft/casida_isdf.hpp"
 #include "tddft/driver.hpp"
 #include "tddft/implicit_hamiltonian.hpp"
@@ -109,6 +112,95 @@ TEST(KernelProjection, IsSymmetric) {
     }
   }
 }
+
+/// The unstreamed formula: the kernel on all columns, one gemm, and the
+/// averaged, dv-scaled symmetrization.
+la::RealMatrix unstreamed_projection(const HxcKernel& kernel,
+                                     const la::RealMatrix& f) {
+  la::RealMatrix kf(f.rows(), f.cols());
+  kernel.apply(f.view(), kf.view());
+  la::RealMatrix m =
+      la::gemm(la::Trans::kYes, la::Trans::kNo, f.view(), kf.view());
+  const Real dv = kernel.dv();
+  for (Index i = 0; i < m.rows(); ++i) {
+    for (Index j = i; j < m.cols(); ++j) {
+      const Real avg = Real{0.5} * dv * (m(i, j) + m(j, i));
+      m(i, j) = avg;
+      m(j, i) = avg;
+    }
+  }
+  return m;
+}
+
+/// max |a - b| / max |b|.
+Real relative_diff(const la::RealMatrix& a, const la::RealMatrix& b) {
+  return la::max_abs_diff(a.view(), b.view()) / la::max_abs(b.view());
+}
+
+TEST(KernelProjection, StreamedMatchesUnstreamedBitwise) {
+  // 13 columns: four slices of widths 4, 4, 2, 3 (the odd one last), so
+  // the slices keep the whole-matrix FFT pairing. 13² x 1000 is above
+  // gemm's packed-path threshold, where slice and whole gemms round alike.
+  const CasidaProblem p = make_test_problem();
+  const HxcKernel kernel = make_kernel(p);
+  Rng rng(5);
+  const la::RealMatrix f = la::RealMatrix::random_normal(p.nr(), 13, rng);
+  const la::RealMatrix want = unstreamed_projection(kernel, f);
+  const auto expect_bitwise = [&](const la::RealMatrix& got,
+                                  const char* what) {
+    ASSERT_EQ(got.rows(), 13);
+    ASSERT_EQ(got.cols(), 13);
+    for (Index i = 0; i < 13; ++i) {
+      for (Index j = 0; j < 13; ++j) {
+        ASSERT_EQ(got(i, j), want(i, j)) << what << " (" << i << ", " << j
+                                         << ")";
+      }
+    }
+  };
+  expect_bitwise(kernel_projection(kernel, f.view()), "no communicator");
+  la::RealMatrix one_rank;
+  par::run(1, [&](par::Comm& comm) {
+    one_rank = kernel_projection(kernel, f.view(), &comm);
+  });
+  expect_bitwise(one_rank, "one rank");
+}
+
+class KernelProjectionSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelProjectionSweep, RowSlabsMatchSerialProjection) {
+  // 13 columns and 25 pairs divide by none of p = 2, 3, 4, and some rank
+  // holds an odd column count at each p.
+  const int p = GetParam();
+  const CasidaProblem problem = make_test_problem(5, 5);
+  const HxcKernel kernel = make_kernel(problem);
+  Rng rng(9);
+  const la::RealMatrix theta =
+      la::RealMatrix::random_normal(problem.nr(), 13, rng);
+  const la::RealMatrix serial_m = kernel_projection(kernel, theta.view());
+  const la::RealMatrix serial_h = build_hamiltonian_naive(problem, kernel);
+  const la::RealMatrix pairs = isdf::pair_product_matrix(
+      problem.psi_v.view(), problem.psi_c.view());
+  for (const Index pipeline_chunk : {Index{0}, Index{2}}) {
+    par::run(p, [&](par::Comm& comm) {
+      const par::BlockPartition rows(problem.nr(), comm.size());
+      const Index r0 = rows.offset(comm.rank());
+      const Index nr = rows.count(comm.rank());
+      const la::RealMatrix m = kernel_projection(
+          kernel, theta.view().rows_block(r0, nr), &comm, {}, pipeline_chunk);
+      EXPECT_LE(relative_diff(m, serial_m), 1e-12)
+          << "p=" << p << " chunk=" << pipeline_chunk;
+      const la::RealMatrix h = casida_hamiltonian(
+          kernel_projection(kernel, pairs.view().rows_block(r0, nr), &comm,
+                            {}, pipeline_chunk),
+          energy_differences(problem));
+      EXPECT_LE(relative_diff(h, serial_h), 1e-12)
+          << "naive H, p=" << p << " chunk=" << pipeline_chunk;
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, KernelProjectionSweep,
+                         ::testing::Values(2, 3, 4));
 
 TEST(ImplicitHamiltonian, ApplyMatchesExplicitIsdfMatrix) {
   const CasidaProblem p = make_test_problem();

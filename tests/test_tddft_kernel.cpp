@@ -138,6 +138,31 @@ TEST(HxcKernel, PairedApplyMatchesPerColumnOracle) {
   }
 }
 
+TEST(HxcKernel, InPlaceApplyIsBitIdentical) {
+  // The streamed kernel projection applies the kernel in place on each
+  // column slice. An odd column count leaves the last column unpaired.
+  KernelFixture f;
+  const Index nr = f.grid.size();
+  Rng rng(11);
+  for (const bool include_xc : {false, true}) {
+    const HxcKernel kernel(f.grid, f.gvectors, f.density, include_xc);
+    for (const Index k : {1, 5}) {
+      const la::RealMatrix in = la::RealMatrix::random_normal(nr, k, rng);
+      la::RealMatrix out(nr, k);
+      kernel.apply(in.view(), out.view());
+      la::RealMatrix in_place = in;
+      kernel.apply(in_place.view(), in_place.view());
+      for (Index i = 0; i < nr; ++i) {
+        for (Index j = 0; j < k; ++j) {
+          ASSERT_EQ(in_place(i, j), out(i, j))
+              << "k=" << k << " xc=" << include_xc << " (" << i << ", " << j
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(HxcKernel, ProfilerReceivesFftPhase) {
   KernelFixture f;
   const HxcKernel kernel(f.grid, f.gvectors, f.density, true);

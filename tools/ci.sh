@@ -10,9 +10,12 @@
 #   tsan        -fsanitize=thread. OpenMP is disabled in this flavor:
 #               libgomp is not TSan-instrumented and reports false
 #               positives on its internal barriers.
-#               Both sanitizer flavors also run the Fig-8 bench smoke
-#               (bench_fig8_breakdown --smoke), so rank threads writing
-#               shared state outside the tests reach a sanitizer too.
+#               Both sanitizer flavors also run the Fig-8 and Fig-7
+#               bench smokes (bench_fig8_breakdown --smoke, then
+#               bench_fig7_strong_scaling --smoke: the Naive and implicit
+#               versions at 1 and 3 ranks, an uneven partition), so rank
+#               threads writing shared state outside the tests reach a
+#               sanitizer too.
 #   bench       bench-smoke: tools/bench.sh --smoke in the plain tree —
 #               seconds-long kernel benches with --compare correctness
 #               cross-checks, then lrt.bench/1 schema validation of the
@@ -158,6 +161,10 @@ if [ "$do_asan" -eq 1 ]; then
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   LRT_BENCH_DIR=build-asan/bench-smoke \
     ./build-asan/bench/bench_fig8_breakdown --smoke
+  echo "=== [asan+ubsan] fig7 bench smoke (Naive + implicit, ranks 1 and 3) ==="
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/bench/bench_fig7_strong_scaling --smoke
   echo "=== [asan+ubsan] ctest with LRT_FAULT (injection under sanitizers) ==="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -174,6 +181,9 @@ if [ "$do_tsan" -eq 1 ]; then
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
   LRT_BENCH_DIR=build-tsan/bench-smoke \
     ./build-tsan/bench/bench_fig8_breakdown --smoke
+  echo "=== [tsan] fig7 bench smoke (Naive + implicit, ranks 1 and 3) ==="
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/bench/bench_fig7_strong_scaling --smoke
 fi
 
 echo "CI: all requested flavors passed"
