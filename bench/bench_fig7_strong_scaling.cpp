@@ -4,7 +4,8 @@
 // Ranks are threads of the message-passing runtime on a single-core
 // container, so wall clock cannot shrink with rank count. Following the
 // substitution documented in DESIGN.md, efficiency is computed on the
-// max-per-rank BUSY time (wall minus time blocked in communication):
+// max-per-rank BUSY time (the rank thread's CPU seconds, which leave
+// out time blocked in communication):
 // busy(R)·R / busy(1) measures how evenly the fixed work divides and how
 // much extra compute parallelization introduces — the quantity whose
 // decay the paper's Figure 7 plots. Communication volume is also shown

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
   table.row().cell("TOTAL wall").cell(stats.wall_seconds, 4);
   table.row().cell("comm (blocked)").cell(stats.comm_seconds, 4);
-  table.row().cell("busy (wall-comm)").cell(stats.busy_seconds, 4);
+  table.row().cell("busy (thread CPU)").cell(stats.busy_seconds, 4);
   table.print();
 
   // Per-rank imbalance from the span trace: for every phase, compare the

@@ -77,7 +77,7 @@ std::string generate_phase_registry_header(const std::vector<PhaseDef>& defs) {
      << "// src/obs/phases.def by `lrt-analyze gen-phases --write`. The\n"
      << "// phase-registry-sync pass fails CI when this file and the def\n"
      << "// drift apart; the phase-registry pass requires every\n"
-     << "// obs::Span / ScopedPhase / PhaseTimer literal and every\n"
+     << "// obs::Span literal and every\n"
      << "// `validate_trace --require-phase` argument to name an entry.\n"
      << "#pragma once\n"
      << "\n"

@@ -3,10 +3,8 @@
 // Timer          — simple stopwatch.
 // ThreadCpuTimer — per-thread CPU stopwatch for oversubscribed benches.
 //
-// The phase-profiling pieces (WallProfiler, ScopedPhase) live in
-// obs/obs.hpp: they were born here, but once they grew Span emission
-// they belonged to the obs layer — keeping them here made common depend
-// on obs, inverting the layer DAG.
+// Phase seconds are not measured here: obs::Span under an
+// obs::PhaseScope (obs/obs.hpp) is the one phase clock.
 #pragma once
 
 #include <chrono>

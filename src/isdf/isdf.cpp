@@ -8,14 +8,13 @@ namespace lrt::isdf {
 
 IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
                           la::RealConstView psi_v, la::RealConstView psi_c,
-                          const IsdfOptions& options, obs::WallProfiler* profiler) {
+                          const IsdfOptions& options) {
   LRT_CHECK(options.nmu >= 1, "IsdfOptions::nmu must be set");
   LRT_CHECK(grid.size() == psi_v.rows(), "grid/orbital size mismatch");
 
   IsdfResult result;
   {
     const obs::Span span("isdf.select_points");
-    Timer timer;
     switch (options.method) {
       case PointMethod::kQrcp:
         result.points =
@@ -28,12 +27,10 @@ IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
                 .points;
         break;
     }
-    if (profiler) profiler->add("select_points", timer.seconds());
   }
 
   {
     const obs::Span span("isdf.interp_vectors");
-    Timer timer;
     result.psi_v_mu = sample_rows(psi_v, result.points);
     result.psi_c_mu = sample_rows(psi_c, result.points);
     if (options.build_coefficients) {
@@ -41,7 +38,6 @@ IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
     }
     result.theta = interpolation_vectors(psi_v, psi_c, result.psi_v_mu.view(),
                                          result.psi_c_mu.view());
-    if (profiler) profiler->add("interp_vectors", timer.seconds());
   }
   return result;
 }

@@ -11,10 +11,8 @@
 
 #include <vector>
 
-#include "common/timer.hpp"
 #include "isdf/kmeans_points.hpp"
 #include "isdf/qrcp_points.hpp"
-#include "obs/obs.hpp"
 
 namespace lrt::isdf {
 
@@ -39,11 +37,10 @@ struct IsdfResult {
   Index nmu() const { return static_cast<Index>(points.size()); }
 };
 
-/// Full decomposition. `profiler`, when given, receives "select_points"
-/// and "interp_vectors" phases (used by the Table 3 / Fig 8 benches).
+/// Full decomposition. Spans: "isdf.select_points" and
+/// "isdf.interp_vectors" (the serial driver's profiler keys).
 IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
                           la::RealConstView psi_v, la::RealConstView psi_c,
-                          const IsdfOptions& options,
-                          obs::WallProfiler* profiler = nullptr);
+                          const IsdfOptions& options);
 
 }  // namespace lrt::isdf

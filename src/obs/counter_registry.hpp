@@ -56,7 +56,7 @@ inline constexpr const char* kCommScatterBytes = "comm.scatter.bytes";  // scatt
 inline constexpr const char* kCommScatterCalls = "comm.scatter.calls";  // scatter invocations
 inline constexpr const char* kCommBarrierBytes = "comm.barrier.bytes";  // barrier payload bytes (always zero)
 inline constexpr const char* kCommBarrierCalls = "comm.barrier.calls";  // barrier invocations
-inline constexpr const char* kMemHwmBytes = "mem.hwm.bytes";  // peak resident set size observed at phase boundaries
+inline constexpr const char* kMemHwmBytes = "mem.hwm.bytes";  // peak resident set size observed after distributed solves
 
 inline constexpr const char* kAll[] = {
     kKmeansAssignFull,

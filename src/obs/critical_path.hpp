@@ -14,7 +14,7 @@
 // work vs wait vs imbalance, replacing aggregate_phases()'s single
 // busiest÷mean factor. "Wait" is the union of the `*.wait` spans the
 // collective guards record (time until the last rank entered — exact in
-// the threads-as-ranks runtime) plus `par.overlap.wait`.
+// the threads-as-ranks runtime).
 //
 // Both analyses require quiescence, same as aggregate_phases(): no
 // instrumented code running concurrently (after par::run returned).

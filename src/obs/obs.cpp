@@ -22,8 +22,8 @@ namespace lrt::obs {
 namespace {
 
 // One closed span. The name is copied inline at record time: call sites
-// may pass short-lived std::string::c_str() (ScopedPhase does), so a
-// stored pointer could dangle by export time.
+// may pass a short-lived std::string::c_str(), so a stored pointer could
+// dangle by export time.
 struct SpanRecord {
   char name[48];
   long long start_ns;
@@ -309,6 +309,15 @@ void record_span(const char* name, long long start_ns, long long end_ns) {
   buffer.records.push_back(r);
 }
 
+void close_span(const char* name, long long start_ns, bool traced,
+                PhaseAccumulator* sink) {
+  const long long end_ns = now_ns();
+  if (traced) record_span(name, start_ns, end_ns);
+  if (sink != nullptr) {
+    sink->add(name, static_cast<double>(end_ns - start_ns) * 1e-9);
+  }
+}
+
 void record_flow(const FlowRecord& flow) {
   ThreadBuffer& buffer = thread_buffer();
   FlowRecord f = flow;
@@ -443,14 +452,17 @@ bool write_chrome_trace(const std::string& path) {
   return true;
 }
 
-void PhaseAccumulator::add(const std::string& name, double seconds) {
+void PhaseAccumulator::add(std::string_view name, double seconds) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = totals_.try_emplace(name, 0.0);
-  if (inserted) order_.push_back(name);
+  auto it = totals_.find(name);
+  if (it == totals_.end()) {
+    it = totals_.emplace(std::string(name), 0.0).first;
+    order_.emplace_back(name);
+  }
   it->second += seconds;
 }
 
-double PhaseAccumulator::total(const std::string& name) const {
+double PhaseAccumulator::total(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = totals_.find(name);
   return it == totals_.end() ? 0.0 : it->second;

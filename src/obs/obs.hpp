@@ -6,9 +6,16 @@
 // rank thread registers its world rank via ThreadRankScope (par::run does
 // this), so exported traces carry one Chrome-trace tid per rank.
 //
-// When tracing is disabled (the default), a Span is a single relaxed
-// atomic load and two untaken branches — cheap enough to leave in
-// production hot paths (bench/bench_obs_overhead.cpp gates this < 20 ns).
+// When tracing is disabled (the default), a Span is a relaxed atomic
+// load, a thread-local load and two untaken branches — cheap enough to
+// leave in production hot paths (bench/bench_obs_overhead.cpp gates this
+// < 20 ns).
+//
+// Spans are also the one phase clock: while a PhaseScope is alive on a
+// thread, every Span closed on that thread adds its wall duration to the
+// scope's PhaseAccumulator, whether tracing is on or off. The Casida
+// drivers fill DriverResult::profiler and DistDriverStats::phases this
+// way, so a phase second in a result and in a trace is the same second.
 //
 // Enabling:
 //   LRT_TRACE=path.json   enable tracing; write/merge a Chrome trace at
@@ -26,19 +33,25 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace lrt::obs {
 
+class PhaseAccumulator;
+
 namespace detail {
 
 extern std::atomic<bool> g_tracing_enabled;
+
+/// The calling thread's PhaseScope sink, or null outside any scope.
+inline constinit thread_local PhaseAccumulator* t_phase_sink = nullptr;
 
 /// Monotonic nanoseconds (steady clock).
 long long now_ns();
@@ -46,6 +59,11 @@ long long now_ns();
 /// Appends one closed span to the calling thread's buffer. `name` is
 /// copied; the pointer need not outlive the call.
 void record_span(const char* name, long long start_ns, long long end_ns);
+
+/// Closes a Span started at `start_ns`: records it when `traced`, and
+/// adds its wall seconds to `sink` when non-null.
+void close_span(const char* name, long long start_ns, bool traced,
+                PhaseAccumulator* sink);
 
 /// One endpoint of a matched message (par::Comm stamps these when
 /// tracing is on). The (context, src, dst, tag, seq) tuple identifies
@@ -129,11 +147,13 @@ class ThreadRankScope {
 ///   { obs::Span span("fft.fft3d"); transform(...); }
 ///
 /// `name` must stay valid until the span closes (string literals are the
-/// norm); the recorder copies it at close time.
+/// norm); the recorder copies it at close time. Whether the span is
+/// traced and which PhaseScope it feeds are both fixed at construction.
 class Span {
  public:
-  explicit Span(const char* name) {
-    if (tracing_enabled()) {
+  explicit Span(const char* name)
+      : sink_(detail::t_phase_sink), traced_(tracing_enabled()) {
+    if (traced_ || sink_ != nullptr) {
       name_ = name;
       start_ns_ = detail::now_ns();
     }
@@ -142,7 +162,7 @@ class Span {
   /// Closes the span early (before scope exit). Idempotent.
   void end() {
     if (name_ != nullptr) {
-      detail::record_span(name_, start_ns_, detail::now_ns());
+      detail::close_span(name_, start_ns_, traced_, sink_);
       name_ = nullptr;
     }
   }
@@ -155,6 +175,8 @@ class Span {
  private:
   const char* name_ = nullptr;
   long long start_ns_ = 0;
+  PhaseAccumulator* sink_;
+  bool traced_;
 };
 
 /// Per-phase statistics aggregated across rank threads (the Fig.-8 style
@@ -188,10 +210,9 @@ void reset_trace();
 /// processes sharing one path accumulate (see docs/OBSERVABILITY.md).
 bool write_chrome_trace(const std::string& path);
 
-/// Drop-in replacement for the old common/timer.hpp WallProfiler:
-/// accumulates wall seconds per named phase, thread-safe, insertion
-/// ordered. Kept alongside the tracer because result structs carry one
-/// by value (DistDriverStats::phases feeds Fig. 8 directly).
+/// Wall seconds per span name, thread-safe, insertion ordered. A
+/// PhaseScope fills one; result structs carry one by value
+/// (DriverResult::profiler).
 class PhaseAccumulator {
  public:
   PhaseAccumulator() = default;
@@ -211,10 +232,10 @@ class PhaseAccumulator {
   PhaseAccumulator& operator=(const PhaseAccumulator&) = delete;
 
   /// Adds `seconds` to phase `name`, creating the phase if needed.
-  void add(const std::string& name, double seconds);
+  void add(std::string_view name, double seconds);
 
   /// Accumulated seconds for `name`; 0 if the phase never ran.
-  double total(const std::string& name) const;
+  double total(std::string_view name) const;
 
   /// Sum over all phases.
   double grand_total() const;
@@ -226,46 +247,31 @@ class PhaseAccumulator {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, double> totals_;
+  std::map<std::string, double, std::less<>> totals_;
   std::vector<std::string> order_;
 };
 
-/// The name the benchmark harness uses for the per-phase accumulator
-/// (splits Hamiltonian construction into the paper's Figure-8
-/// categories: K-Means / FFT / MPI / GEMM+Allreduce). Lived in
-/// common/timer.hpp before the obs subsystem landed.
-using WallProfiler = PhaseAccumulator;
-
-/// RAII phase guard:
-///   { obs::ScopedPhase p(profiler, "fft"); do_ffts(); }
-/// Adds its lifetime to one WallProfiler phase and emits a Span so
-/// profiled phases show up in LRT_TRACE Chrome traces for free.
-class ScopedPhase {
+/// RAII phase clock for the calling thread: while alive, every Span
+/// constructed and closed on this thread adds its wall seconds to
+/// `sink` (nested spans each add their own duration). Spans on other
+/// threads are not counted. The previous scope is restored on exit, the
+/// way ThreadRankScope restores the rank.
+///
+///   obs::PhaseScope clock(result.profiler);
+///   { obs::Span span(obs::phase::kDiag); solve(); }
+///   result.profiler.total("diag");  // the span's wall seconds
+class PhaseScope {
  public:
-  ScopedPhase(WallProfiler& profiler, std::string name)
-      : profiler_(&profiler),
-        name_(std::move(name)),
-        span_(name_.c_str()),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  ~ScopedPhase() {
-    span_.end();
-    profiler_->add(name_,
-                   std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start_)
-                       .count());
+  explicit PhaseScope(PhaseAccumulator& sink) : saved_(detail::t_phase_sink) {
+    detail::t_phase_sink = &sink;
   }
+  ~PhaseScope() { detail::t_phase_sink = saved_; }
+
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  WallProfiler* profiler_;
-  std::string name_;
-  // Declared after name_ so name_.c_str() is valid for the span's whole
-  // lifetime; closed explicitly in the dtor before name_ could go away.
-  Span span_;
-  std::chrono::steady_clock::time_point start_;
+  PhaseAccumulator* saved_;
 };
 
 }  // namespace lrt::obs

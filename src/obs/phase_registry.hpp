@@ -4,7 +4,7 @@
 // src/obs/phases.def by `lrt-analyze gen-phases --write`. The
 // phase-registry-sync pass fails CI when this file and the def
 // drift apart; the phase-registry pass requires every
-// obs::Span / ScopedPhase / PhaseTimer literal and every
+// obs::Span literal and every
 // `validate_trace --require-phase` argument to name an entry.
 #pragma once
 
@@ -19,8 +19,6 @@ inline constexpr const char* kMpi = "mpi";  // communication: transpose/alltoall
 inline constexpr const char* kGemm = "gemm";  // dense GEMM + allreduce epilogue (Fig. 8)
 inline constexpr const char* kDiag = "diag";  // (dist-)eigensolve / subspace diagonalization (Fig. 8)
 inline constexpr const char* kPairProduct = "pair_product";  // orbital pair-product assembly (Fig. 8)
-inline constexpr const char* kSelectPoints = "select_points";  // ISDF interpolation-point selection (driver profiler)
-inline constexpr const char* kInterpVectors = "interp_vectors";  // ISDF interpolation-vector fit (driver profiler)
 inline constexpr const char* kFftFft3d = "fft.fft3d";  // one 3-D FFT (all pencils)
 inline constexpr const char* kFftFft3dAxis0 = "fft.fft3d.axis0";  // 3-D FFT axis-0 pass (stride n1*n2, batched)
 inline constexpr const char* kFftFft3dAxis1 = "fft.fft3d.axis1";  // 3-D FFT axis-1 pass (stride n2, per-slab batches)
@@ -37,7 +35,6 @@ inline constexpr const char* kParDistLobpcg = "par.dist_lobpcg";  // distributed
 inline constexpr const char* kParGramReduceMonolithic = "par.gram_reduce.monolithic";  // Gram reduction, single allreduce
 inline constexpr const char* kParGramReducePipelined = "par.gram_reduce.pipelined";  // Gram reduction, pipelined allreduce
 inline constexpr const char* kParTranspose = "par.transpose";  // pencil transpose (alltoallv)
-inline constexpr const char* kParOverlapWait = "par.overlap.wait";  // drain of a nonblocking collective's receives
 inline constexpr const char* kBarrier = "barrier";  // dissemination barrier
 inline constexpr const char* kBcast = "bcast";  // binomial-tree broadcast
 inline constexpr const char* kReduce = "reduce";  // binomial-tree reduction
@@ -49,8 +46,6 @@ inline constexpr const char* kAllgatherv = "allgatherv";  // variable-count ring
 inline constexpr const char* kGather = "gather";  // root gather
 inline constexpr const char* kScatter = "scatter";  // root scatter
 inline constexpr const char* kSplit = "split";  // communicator split (allgatherv composite)
-inline constexpr const char* kIAlltoallv = "i_alltoallv";  // nonblocking alltoallv issue (sends posted, recvs deferred)
-inline constexpr const char* kIAllgatherv = "i_allgatherv";  // nonblocking allgatherv issue (direct exchange)
 inline constexpr const char* kP2p = "p2p";  // user point-to-point send/recv outside any collective
 inline constexpr const char* kBarrierWait = "barrier.wait";  // barrier: straggler wait
 inline constexpr const char* kBarrierXfer = "barrier.xfer";  // barrier: exchange rounds
@@ -74,10 +69,6 @@ inline constexpr const char* kScatterWait = "scatter.wait";  // scatter: straggl
 inline constexpr const char* kScatterXfer = "scatter.xfer";  // scatter: root transfer
 inline constexpr const char* kSplitWait = "split.wait";  // split: straggler wait
 inline constexpr const char* kSplitXfer = "split.xfer";  // split: composite transfer
-inline constexpr const char* kIAlltoallvWait = "i_alltoallv.wait";  // i_alltoallv issue: straggler wait
-inline constexpr const char* kIAlltoallvXfer = "i_alltoallv.xfer";  // i_alltoallv issue: send posting
-inline constexpr const char* kIAllgathervWait = "i_allgatherv.wait";  // i_allgatherv issue: straggler wait
-inline constexpr const char* kIAllgathervXfer = "i_allgatherv.xfer";  // i_allgatherv issue: send posting
 
 inline constexpr const char* kAll[] = {
     kKmeans,
@@ -86,8 +77,6 @@ inline constexpr const char* kAll[] = {
     kGemm,
     kDiag,
     kPairProduct,
-    kSelectPoints,
-    kInterpVectors,
     kFftFft3d,
     kFftFft3dAxis0,
     kFftFft3dAxis1,
@@ -104,7 +93,6 @@ inline constexpr const char* kAll[] = {
     kParGramReduceMonolithic,
     kParGramReducePipelined,
     kParTranspose,
-    kParOverlapWait,
     kBarrier,
     kBcast,
     kReduce,
@@ -116,8 +104,6 @@ inline constexpr const char* kAll[] = {
     kGather,
     kScatter,
     kSplit,
-    kIAlltoallv,
-    kIAllgatherv,
     kP2p,
     kBarrierWait,
     kBarrierXfer,
@@ -141,10 +127,6 @@ inline constexpr const char* kAll[] = {
     kScatterXfer,
     kSplitWait,
     kSplitXfer,
-    kIAlltoallvWait,
-    kIAlltoallvXfer,
-    kIAllgathervWait,
-    kIAllgathervXfer,
 };
 
 inline constexpr std::size_t kCount = sizeof(kAll) / sizeof(kAll[0]);

@@ -21,8 +21,6 @@ const char* to_string(CollKind kind) {
     case CollKind::kGather: return "gather";
     case CollKind::kScatter: return "scatter";
     case CollKind::kSplit: return "split";
-    case CollKind::kIAlltoallv: return "i_alltoallv";
-    case CollKind::kIAllgatherv: return "i_allgatherv";
   }
   return "?";
 }
@@ -199,11 +197,9 @@ void Verifier::on_collective(int world_rank, int group_rank,
       if (static_cast<int>(pending.per_rank.size()) == record.comm_size) {
         // All ranks arrived with matching uniform signatures; cross-check
         // the v-variant count vectors, then retire the ledger entry.
-        if (record.kind == CollKind::kAlltoallv ||
-            record.kind == CollKind::kIAlltoallv) {
+        if (record.kind == CollKind::kAlltoallv) {
           error = check_alltoallv_matrix(pending.per_rank);
-        } else if (record.kind == CollKind::kAllgatherv ||
-                   record.kind == CollKind::kIAllgatherv) {
+        } else if (record.kind == CollKind::kAllgatherv) {
           error = check_allgatherv_counts(pending.per_rank);
         }
         ledger_.erase(it);
@@ -314,33 +310,6 @@ void Verifier::watchdog_loop() {
       return;
     }
   }
-}
-
-// ----- nonblocking handle tracking -------------------------------------------
-
-void Verifier::on_handle_issued(int world_rank, const char* kind,
-                                long long context, long long seq) {
-  std::ostringstream os;
-  os << kind << " handle (communicator " << context << ", call #" << seq
-     << ") issued by world rank " << world_rank;
-  std::lock_guard<std::mutex> lock(handle_mutex_);
-  open_handles_.emplace(std::make_tuple(context, seq, world_rank), os.str());
-}
-
-void Verifier::on_handle_completed(int world_rank, long long context,
-                                   long long seq) {
-  std::lock_guard<std::mutex> lock(handle_mutex_);
-  open_handles_.erase(std::make_tuple(context, seq, world_rank));
-}
-
-void Verifier::finish_handle_check() {
-  std::lock_guard<std::mutex> lock(handle_mutex_);
-  if (open_handles_.empty()) return;
-  std::ostringstream os;
-  os << "nonblocking handle leak: " << open_handles_.size()
-     << " handle(s) were issued but never waited:";
-  for (const auto& [key, what] : open_handles_) os << "\n  " << what;
-  record_failure(os.str());
 }
 
 // ----- message-leak detection ------------------------------------------------

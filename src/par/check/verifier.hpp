@@ -46,7 +46,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/config.hpp"
@@ -74,8 +73,6 @@ enum class CollKind {
   kGather,
   kScatter,
   kSplit,
-  kIAlltoallv,
-  kIAllgatherv,
 };
 
 const char* to_string(CollKind kind);
@@ -168,22 +165,6 @@ class Verifier {
   /// on_leftover_message calls.
   void finish_leak_check();
 
-  // ----- nonblocking handle tracking ----------------------------------------
-
-  /// Records that `world_rank` issued a nonblocking collective (call `seq`
-  /// on communicator `context`). Matched against on_handle_completed.
-  void on_handle_issued(int world_rank, const char* kind, long long context,
-                        long long seq);
-
-  /// Marks the handle issued as (context, seq) by `world_rank` completed
-  /// (its wait() finished draining receives).
-  void on_handle_completed(int world_rank, long long context, long long seq);
-
-  /// Fails the run if any issued handle was never waited. Call after all
-  /// ranks returned, before the leak sweep (the un-received messages of an
-  /// abandoned handle also show up there; this check names the handle).
-  void finish_handle_check();
-
   // ----- failure state ------------------------------------------------------
 
   bool failed() const;
@@ -232,11 +213,6 @@ class Verifier {
 
   std::mutex leak_mutex_;
   std::vector<std::string> leaks_;
-
-  std::mutex handle_mutex_;
-  /// (context, seq, world rank) -> description of the issued handle; an
-  /// entry is erased when its wait() completes.
-  std::map<std::tuple<long long, long long, int>, std::string> open_handles_;
 
   std::thread watchdog_;
   std::mutex watchdog_mutex_;

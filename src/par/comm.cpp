@@ -36,8 +36,7 @@ const TrafficObs& traffic_obs(Traffic kind) {
 
 // The user-facing traffic category each collective's internal messages
 // bill to. The composite split bills to its leaf via nesting order (the
-// inner allgather re-routes to allgatherv); nonblocking i_* calls bill to
-// their blocking kind's category.
+// inner allgather re-routes to allgatherv).
 Traffic traffic_of(check::CollKind kind) {
   switch (kind) {
     case check::CollKind::kBcast:
@@ -48,11 +47,9 @@ Traffic traffic_of(check::CollKind kind) {
       return Traffic::kAllreduce;
     case check::CollKind::kAlltoall:
     case check::CollKind::kAlltoallv:
-    case check::CollKind::kIAlltoallv:
       return Traffic::kAlltoallv;
     case check::CollKind::kAllgather:
     case check::CollKind::kAllgatherv:
-    case check::CollKind::kIAllgatherv:
     case check::CollKind::kSplit:
       return Traffic::kAllgatherv;
     case check::CollKind::kGather:
@@ -138,8 +135,8 @@ void Comm::enter_collective(check::CollKind kind) {
   const Traffic traffic = traffic_of(kind);
   active_traffic_ = traffic;
   // The composite split (= allgather) is counted by its nested leaf call,
-  // not here. Everything else — including the single-round allreduce and
-  // the nonblocking i_* issues — counts one user-facing call.
+  // not here. Everything else — including the single-round allreduce —
+  // counts one user-facing call.
   if (kind == check::CollKind::kSplit) return;
   calls_by_kind_[static_cast<int>(traffic)].fetch_add(
       1, std::memory_order_relaxed);
@@ -311,41 +308,6 @@ void Comm::recv_bytes(void* data, std::size_t bytes, int src, int tag) {
     if (recv_start_ns >= 0 && coll_depth_ == 0) {
       obs::detail::record_span("p2p", recv_start_ns, end_ns);
     }
-  }
-}
-
-void Comm::Request::wait() {
-  if (done_) return;
-  // Mark done before any receive can throw: a failed wait must not be
-  // retried against a mailbox in an unknown state, and the verifier's
-  // handle sweep should not re-report a handle whose wait already failed.
-  done_ = true;
-  Comm& comm = *comm_;
-  CommTimerGuard timer(comm);
-  // Not a CollectiveGuard: the collective was posted (verifier record,
-  // fault hook, call count) at issue time. This scope only marks the
-  // receives as collective-internal traffic — so tag validation accepts
-  // the reserved nonblocking tag — and labels watchdog dumps.
-  struct WaitScope {
-    Comm& c;
-    const char* prev;
-    WaitScope(Comm& c, const char* name) : c(c), prev(c.active_collective_) {
-      ++c.coll_depth_;
-      c.active_collective_ = name;
-    }
-    ~WaitScope() {
-      c.active_collective_ = prev;
-      --c.coll_depth_;
-    }
-  } scope(comm, name_);
-  const obs::Span span("par.overlap.wait");
-  for (const PendingRecv& r : recvs_) {
-    comm.recv_bytes(r.data, r.bytes, r.src, tag_);
-  }
-  recvs_.clear();
-  if (comm.verifier_ != nullptr) {
-    comm.verifier_->on_handle_completed(comm.world_rank_of(comm.rank_),
-                                        comm.context_, seq_);
   }
 }
 

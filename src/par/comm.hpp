@@ -154,61 +154,6 @@ class Comm {
   template <typename T>
   void scatter(const T* send_buf, Index count, T* recv_buf, int root);
 
-  // ----- nonblocking collectives ---------------------------------------------
-
-  /// Handle for an in-flight nonblocking collective. All sends (and the
-  /// self-block copy) happen at issue time — mailboxes are unbounded, so
-  /// delivery cannot block — and the matching receives are deferred to
-  /// wait(). The recv buffer must stay alive and untouched until wait()
-  /// returns. Handles are move-only; destroying an un-waited handle does
-  /// NOT receive the pending messages (the verifier reports it as a
-  /// never-completed handle, and the leaked messages trip the leak sweep).
-  class Request {
-   public:
-    Request() = default;
-    Request(Request&& other) noexcept { *this = std::move(other); }
-    Request& operator=(Request&& other) noexcept;
-    Request(const Request&) = delete;
-    Request& operator=(const Request&) = delete;
-    ~Request() = default;
-
-    /// Blocks until every pending receive has landed. Idempotent.
-    void wait();
-    bool pending() const { return !done_; }
-
-   private:
-    friend class Comm;
-    struct PendingRecv {
-      void* data;
-      std::size_t bytes;
-      int src;
-    };
-    Comm* comm_ = nullptr;
-    const char* name_ = nullptr;
-    int tag_ = 0;
-    long long seq_ = 0;
-    std::vector<PendingRecv> recvs_;
-    bool done_ = true;
-  };
-
-  /// Nonblocking alltoallv: posts all sends immediately and returns a
-  /// handle whose wait() drains the receives, so callers can overlap
-  /// packing of the next slab with the exchange of this one.
-  template <typename T>
-  Request i_alltoallv(const T* send_buf, const std::vector<Index>& send_counts,
-                      const std::vector<Index>& send_displs, T* recv_buf,
-                      const std::vector<Index>& recv_counts,
-                      const std::vector<Index>& recv_displs);
-
-  /// Nonblocking allgatherv. Uses a direct exchange (each rank sends its
-  /// block to every peer) rather than the blocking ring — a ring forwards
-  /// received data and so cannot run ahead of its receives. Result layout
-  /// is identical to allgatherv.
-  template <typename T>
-  Request i_allgatherv(const T* send_buf, Index count, T* recv_buf,
-                       const std::vector<Index>& counts,
-                       const std::vector<Index>& displs);
-
   // ----- communicator management --------------------------------------------
 
   /// Collective: partitions ranks by `color`; within a color, ranks are
@@ -239,9 +184,8 @@ class Comm {
 
   /// User-facing calls of one traffic kind on this Comm (allreduce is a
   /// single-round primitive and counts one allreduce call; the composite
-  /// split counts via its leaves as one allgatherv; nonblocking i_*
-  /// collectives count at issue time under their blocking kind; p2p
-  /// counts user sends).
+  /// split counts via its leaves as one allgatherv; p2p counts user
+  /// sends).
   long long calls_made(Traffic kind) const {
     return calls_by_kind_[static_cast<int>(kind)].load(
         std::memory_order_relaxed);
@@ -414,13 +358,6 @@ inline constexpr int kTagGather = kUserTagLimit + 6;
 inline constexpr int kTagScatter = kUserTagLimit + 7;
 inline constexpr int kTagSplit = kUserTagLimit + 8;
 inline constexpr int kTagAllreduce = kUserTagLimit + 9;
-/// Nonblocking collectives tag their traffic per issue (base + seq mod
-/// window) so overlapping handles on one communicator never cross-match,
-/// even when waited out of issue order. More than kNonblockingTagWindow
-/// simultaneously outstanding handles would alias; FIFO matching per
-/// (src, tag) keeps even that case ordered.
-inline constexpr int kTagNonblockingBase = kUserTagLimit + 16;
-inline constexpr int kNonblockingTagWindow = 4096;
 
 }  // namespace detail
 
@@ -649,111 +586,6 @@ void Comm::gather(const T* send_buf, Index count, T* recv_buf, int root) {
   } else {
     send(send_buf, count, root, detail::kTagGather);
   }
-}
-
-inline Comm::Request& Comm::Request::operator=(Request&& other) noexcept {
-  comm_ = other.comm_;
-  name_ = other.name_;
-  tag_ = other.tag_;
-  seq_ = other.seq_;
-  recvs_ = std::move(other.recvs_);
-  done_ = other.done_;
-  other.recvs_.clear();
-  other.done_ = true;
-  return *this;
-}
-
-template <typename T>
-Comm::Request Comm::i_alltoallv(const T* send_buf,
-                                const std::vector<Index>& send_counts,
-                                const std::vector<Index>& send_displs,
-                                T* recv_buf,
-                                const std::vector<Index>& recv_counts,
-                                const std::vector<Index>& recv_displs) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CommTimerGuard guard(*this);
-  CollectiveGuard cguard(*this, check::CollKind::kIAlltoallv, sizeof(T),
-                         &send_counts, &recv_counts);
-  const int p = size();
-  LRT_CHECK(static_cast<int>(send_counts.size()) == p &&
-                static_cast<int>(recv_counts.size()) == p,
-            "i_alltoallv counts must have one entry per rank");
-  Request req;
-  req.comm_ = this;
-  req.name_ = "i_alltoallv";
-  req.seq_ = coll_seq_ - 1;  // the seq this call's guard just consumed
-  req.tag_ = detail::kTagNonblockingBase +
-             static_cast<int>(req.seq_ % detail::kNonblockingTagWindow);
-  req.done_ = false;
-  // All sends (and the self-block copy) happen now; only receives wait.
-  // Zero-count messages are still delivered so the traffic pattern (and
-  // the leak sweep's bookkeeping) matches the blocking alltoallv.
-  for (int s = 0; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    const Index scount = send_counts[static_cast<std::size_t>(dst)];
-    const T* sptr = send_buf + send_displs[static_cast<std::size_t>(dst)];
-    if (dst == rank_) {
-      T* rptr = recv_buf + recv_displs[static_cast<std::size_t>(rank_)];
-      for (Index i = 0; i < scount; ++i) rptr[i] = sptr[i];
-      continue;
-    }
-    send(sptr, scount, dst, req.tag_);
-  }
-  for (int s = 1; s < p; ++s) {
-    const int src = (rank_ - s + p) % p;
-    req.recvs_.push_back(Request::PendingRecv{
-        recv_buf + recv_displs[static_cast<std::size_t>(src)],
-        sizeof(T) *
-            static_cast<std::size_t>(recv_counts[static_cast<std::size_t>(src)]),
-        src});
-  }
-  if (verifier_ != nullptr) {
-    verifier_->on_handle_issued(world_rank_of(rank_), req.name_, context_,
-                                req.seq_);
-  }
-  return req;
-}
-
-template <typename T>
-Comm::Request Comm::i_allgatherv(const T* send_buf, Index count, T* recv_buf,
-                                 const std::vector<Index>& counts,
-                                 const std::vector<Index>& displs) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CommTimerGuard guard(*this);
-  CollectiveGuard cguard(*this, check::CollKind::kIAllgatherv, sizeof(T),
-                         /*send_counts=*/nullptr, &counts);
-  const int p = size();
-  LRT_CHECK(static_cast<int>(counts.size()) == p, "i_allgatherv counts size");
-  LRT_CHECK(counts[static_cast<std::size_t>(rank_)] == count,
-            "i_allgatherv count mismatch on rank " << rank_);
-  Request req;
-  req.comm_ = this;
-  req.name_ = "i_allgatherv";
-  req.seq_ = coll_seq_ - 1;
-  req.tag_ = detail::kTagNonblockingBase +
-             static_cast<int>(req.seq_ % detail::kNonblockingTagWindow);
-  req.done_ = false;
-  for (Index i = 0; i < count; ++i) {
-    recv_buf[displs[static_cast<std::size_t>(rank_)] + i] = send_buf[i];
-  }
-  // Direct exchange: own block to every peer now, peers' blocks received
-  // in wait().
-  for (int s = 1; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    send(send_buf, count, dst, req.tag_);
-  }
-  for (int s = 1; s < p; ++s) {
-    const int src = (rank_ - s + p) % p;
-    req.recvs_.push_back(Request::PendingRecv{
-        recv_buf + displs[static_cast<std::size_t>(src)],
-        sizeof(T) * static_cast<std::size_t>(counts[static_cast<std::size_t>(src)]),
-        src});
-  }
-  if (verifier_ != nullptr) {
-    verifier_->on_handle_issued(world_rank_of(rank_), req.name_, context_,
-                                req.seq_);
-  }
-  return req;
 }
 
 template <typename T>

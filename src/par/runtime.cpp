@@ -179,9 +179,6 @@ void run_impl(int nranks, const std::function<void(Comm&)>& body,
     // legitimately strands in-flight messages.
     if (!first_error && !verifier->failed() &&
         verifier->options().check_leaks) {
-      // Handle check first: an abandoned i_* handle also strands its
-      // messages, and the handle diagnosis names the offending call.
-      verifier->finish_handle_check();
       for (int r = 0; r < nranks; ++r) {
         for (const detail::Message& m : runtime.mailbox(r).unreceived()) {
           verifier->on_leftover_message(r, m.src, m.tag, m.payload.size(),

@@ -1,26 +1,24 @@
 #include "tddft/casida_isdf.hpp"
 
 #include "la/blas.hpp"
+#include "obs/obs.hpp"
+#include "obs/phase_registry.hpp"
 
 namespace lrt::tddft {
 
 la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
-                                       const HxcKernel& kernel,
-                                       obs::WallProfiler* profiler) {
-  return kernel_projection(kernel, isdf_result.theta.view(), nullptr,
-                           wall_phases(profiler));
+                                       const HxcKernel& kernel) {
+  return kernel_projection(kernel, isdf_result.theta.view());
 }
 
 la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,
                                       const isdf::IsdfResult& isdf_result,
-                                      const HxcKernel& kernel,
-                                      obs::WallProfiler* profiler) {
+                                      const HxcKernel& kernel) {
   LRT_CHECK(!isdf_result.c.empty(),
             "build_hamiltonian_isdf needs the explicit coefficient matrix");
-  const la::RealMatrix m =
-      build_kernel_projection(isdf_result, kernel, profiler);
+  const la::RealMatrix m = build_kernel_projection(isdf_result, kernel);
 
-  Timer t;
+  const obs::Span span(obs::phase::kGemm);
   // Vhxc = Cᵀ M C via two thin GEMMs.
   const la::RealMatrix mc =
       la::gemm(la::Trans::kNo, la::Trans::kNo, m.view(), isdf_result.c.view());
@@ -38,7 +36,6 @@ la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,
     }
     h(i, i) += d[static_cast<std::size_t>(i)];
   }
-  if (profiler) profiler->add("gemm", t.seconds());
   return h;
 }
 

@@ -11,16 +11,15 @@
 namespace lrt::tddft {
 
 /// M = Θᵀ (v_H + f_xc) Θ dv (symmetrized): kernel_projection of Θ.
-/// Profile phases: "fft", "gemm" (wall seconds).
+/// Spans: "fft", "gemm".
 la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
-                                       const HxcKernel& kernel,
-                                       obs::WallProfiler* profiler = nullptr);
+                                       const HxcKernel& kernel);
 
 /// Explicit H = D + 2 Cᵀ M C (paper Eq 6) for versions (2)/(3)/(4) of
-/// Table 4. Requires isdf_result.c (build_coefficients = true).
+/// Table 4. Requires isdf_result.c (build_coefficients = true). Spans:
+/// "fft", "gemm".
 la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,
                                       const isdf::IsdfResult& isdf_result,
-                                      const HxcKernel& kernel,
-                                      obs::WallProfiler* profiler = nullptr);
+                                      const HxcKernel& kernel);
 
 }  // namespace lrt::tddft

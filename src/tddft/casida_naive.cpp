@@ -3,6 +3,8 @@
 #include "common/error.hpp"
 #include "isdf/pairproduct.hpp"
 #include "la/eig.hpp"
+#include "obs/obs.hpp"
+#include "obs/phase_registry.hpp"
 
 namespace lrt::tddft {
 
@@ -24,21 +26,19 @@ std::vector<Real> energy_differences(const CasidaProblem& problem) {
 }
 
 la::RealMatrix build_hamiltonian_naive(const CasidaProblem& problem,
-                                       const HxcKernel& kernel,
-                                       obs::WallProfiler* profiler) {
+                                       const HxcKernel& kernel) {
   // Line 2 of Algorithm 1: the face-splitting product.
   la::RealMatrix pvc;
   {
-    Timer t;
+    const obs::Span span(obs::phase::kPairProduct);
     pvc = isdf::pair_product_matrix(problem.psi_v.view(),
                                     problem.psi_c.view());
-    if (profiler) profiler->add("pair_product", t.seconds());
   }
 
   // Lines 4-7: Vhxc = Pvcᵀ (K Pvc) dv, the kernel streamed over column
   // slices of Pvc (Nv*Nc FFTs) into GEMMs; line 10: H = D + 2 Vhxc.
   return casida_hamiltonian(
-      kernel_projection(kernel, pvc.view(), nullptr, wall_phases(profiler)),
+      kernel_projection(kernel, pvc.view()),
       energy_differences(problem));
 }
 
@@ -56,13 +56,15 @@ la::RealMatrix casida_hamiltonian(la::RealMatrix vhxc,
 }
 
 CasidaSolution diagonalize_dense(const la::RealMatrix& hamiltonian,
-                                 Index num_states, obs::WallProfiler* profiler) {
+                                 Index num_states) {
   const Index n = hamiltonian.rows();
   LRT_CHECK(num_states >= 1 && num_states <= n,
             "bad state count " << num_states);
-  Timer t;
-  la::EigResult eig = la::syev(hamiltonian.view());
-  if (profiler) profiler->add("diag", t.seconds());
+  la::EigResult eig;
+  {
+    const obs::Span span(obs::phase::kDiag);
+    eig = la::syev(hamiltonian.view());
+  }
 
   CasidaSolution solution;
   solution.energies.assign(eig.values.begin(),

@@ -37,11 +37,10 @@ struct CasidaProblem {
 /// Diagonal D of orbital-energy differences, pair-ordered (iv*Nc + ic).
 std::vector<Real> energy_differences(const CasidaProblem& problem);
 
-/// Explicit Nv·Nc x Nv·Nc Hamiltonian via Algorithm 1. Profile phases:
+/// Explicit Nv·Nc x Nv·Nc Hamiltonian via Algorithm 1. Spans:
 /// "pair_product", "fft" (kernel), "gemm".
 la::RealMatrix build_hamiltonian_naive(const CasidaProblem& problem,
-                                       const HxcKernel& kernel,
-                                       obs::WallProfiler* profiler = nullptr);
+                                       const HxcKernel& kernel);
 
 /// H = D + 2 Vhxc (Eq 2) from Vhxc = kernel_projection of the pair
 /// products and the pair-ordered energy differences d, in place.
@@ -50,14 +49,13 @@ la::RealMatrix casida_hamiltonian(la::RealMatrix vhxc,
 
 /// Dense diagonalization returning the lowest `num_states` excitation
 /// energies and eigenvectors (ScaLAPACK::SYEVD stand-in; paper Alg 1
-/// line 11). Profile phase: "diag".
+/// line 11). Span: "diag".
 struct CasidaSolution {
   std::vector<Real> energies;       ///< lowest k excitation energies
   la::RealMatrix wavefunctions;     ///< Ncv x k eigenvector columns
 };
 
 CasidaSolution diagonalize_dense(const la::RealMatrix& hamiltonian,
-                                 Index num_states,
-                                 obs::WallProfiler* profiler = nullptr);
+                                 Index num_states);
 
 }  // namespace lrt::tddft

@@ -1,72 +1,22 @@
 #include "tddft/dist_driver.hpp"
 
-#include <map>
-
+#include "common/timer.hpp"
 #include "ft/checkpoint.hpp"
 #include "isdf/interpolation.hpp"
 #include "isdf/pairproduct.hpp"
 #include "kmeans/kmeans.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
-#include "par/disteig.hpp"
 #include "obs/phase_registry.hpp"
+#include "par/disteig.hpp"
 
 namespace lrt::tddft {
 namespace {
-
-struct PhaseClock {
-  std::map<std::string, double> seconds;
-  void add(const std::string& name, double s) { seconds[name] += s; }
-};
-
-/// Times one Figure-8 phase region: CPU seconds go to the PhaseClock
-/// (the paper's per-rank busy accounting), and an obs::Span with the
-/// exact phase name goes to the trace. stop() ends the region early so
-/// results can escape the timed scope.
-class PhaseTimer {
- public:
-  PhaseTimer(PhaseClock& clock, const char* name)
-      : clock_(&clock), name_(name), span_(name) {}
-
-  void stop() {
-    if (clock_ != nullptr) {
-      span_.end();
-      clock_->add(name_, t_.seconds());
-      clock_ = nullptr;
-      // Peak-memory gauge at the phase boundary: one procfs read, off
-      // the hot path (phases run for milliseconds to seconds). VmHWM is
-      // process-wide, so the counter is the run's high-water mark, not a
-      // per-phase delta.
-      static obs::Counter& hwm = obs::counter("mem.hwm.bytes");
-      const long long bytes = obs::vm_hwm_bytes();
-      if (bytes > 0) hwm.record_max(bytes);
-    }
-  }
-
-  ~PhaseTimer() { stop(); }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseClock* clock_;
-  const char* name_;
-  obs::Span span_;
-  ThreadCpuTimer t_;
-};
 
 /// This rank's contiguous row slab of a replicated Nr x m matrix.
 la::RealConstView my_rows(la::RealConstView full, const par::BlockPartition& part,
                           int rank) {
   return full.rows_block(part.offset(rank), part.count(rank));
-}
-
-/// kernel_projection's steps, billed like every other driver phase.
-PhaseRunner cpu_phases(PhaseClock& clock) {
-  return [&clock](const char* phase, const std::function<void()>& step) {
-    PhaseTimer t(clock, phase);
-    step();
-  };
 }
 
 /// kernel_projection's reduction: chunk rows for the pipelined reduce to
@@ -140,8 +90,7 @@ kmeans::KMeansResult load_driver_kmeans(const std::string& path,
 
 std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
                               const HxcKernel& kernel,
-                              const DistDriverOptions& options,
-                              PhaseClock& clock) {
+                              const DistDriverOptions& options) {
   const int me = comm.rank();
   const Index nr = problem.nr();
   const Index ncv = problem.ncv();
@@ -152,25 +101,24 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
   // and H = D + 2 Vhxc. The pair products are freed before the solve.
   la::RealMatrix h;
   {
-    PhaseTimer t_pair(clock, obs::phase::kPairProduct);
-    const la::RealMatrix p_loc = isdf::pair_product_matrix(
-        my_rows(problem.psi_v.view(), rows, me),
-        my_rows(problem.psi_c.view(), rows, me));
-    t_pair.stop();
-    h = casida_hamiltonian(kernel_projection(kernel, p_loc.view(), &comm,
-                                             cpu_phases(clock),
-                                             reduce_chunk(options)),
-                           energy_differences(problem));
+    la::RealMatrix p_loc;
+    {
+      const obs::Span span(obs::phase::kPairProduct);
+      p_loc = isdf::pair_product_matrix(my_rows(problem.psi_v.view(), rows, me),
+                                        my_rows(problem.psi_c.view(), rows, me));
+    }
+    h = casida_hamiltonian(
+        kernel_projection(kernel, p_loc.view(), &comm, reduce_chunk(options)),
+        energy_differences(problem));
   }
 
   // Dense diagonalization via the block-cyclic SYEVD stand-in (Fig 3c).
-  PhaseTimer t_diag(clock, obs::phase::kDiag);
+  const obs::Span span(obs::phase::kDiag);
   const par::Layout row_layout =
       par::Layout::block_row(ncv, ncv, comm.size());
   par::DistMatrix h_dist(row_layout, me);
   h_dist.fill_global([&](Index i, Index j) { return h(i, j); });
   par::DistEigResult eig = par::dist_syev(comm, h_dist);
-  t_diag.stop();
 
   return std::vector<Real>(
       eig.values.begin(), eig.values.begin() + options.num_states);
@@ -179,8 +127,7 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
 std::vector<Real> solve_implicit(par::Comm& comm,
                                  const CasidaProblem& problem,
                                  const HxcKernel& kernel,
-                                 const DistDriverOptions& options,
-                                 PhaseClock& clock) {
+                                 const DistDriverOptions& options) {
   const int me = comm.rank();
   const Index nr = problem.nr();
   const Index nv = problem.nv();
@@ -200,9 +147,9 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   // after the collective phase completes, so either every rank sees it or
   // none does — and the restored result is replicated exactly like the
   // allreduced one, so downstream sampling is bit-identical.
-  PhaseTimer t_kmeans(clock, obs::phase::kKmeans);
   kmeans::KMeansResult km;
   bool restored = false;
+  obs::Span kmeans_span(obs::phase::kKmeans);
   if (!options.checkpoint_path.empty() &&
       ft::checkpoint_exists(options.checkpoint_path)) {
     km = load_driver_kmeans(options.checkpoint_path, nmu);
@@ -218,7 +165,7 @@ std::vector<Real> solve_implicit(par::Comm& comm,
     km = kmeans::weighted_kmeans(points, weights, nmu, options.kmeans, &comm,
                                  my_offset);
   }
-  t_kmeans.stop();
+  kmeans_span.end();
   if (!restored && !options.checkpoint_path.empty() && me == 0) {
     save_driver_kmeans(options.checkpoint_path, km);
   }
@@ -228,7 +175,7 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   // in one buffer so replication is a single allreduce; the split after
   // the reduction is an exact copy, so the result is bit-identical to
   // reducing the two matrices separately.
-  PhaseTimer t_mpi(clock, obs::phase::kMpi);
+  obs::Span mpi_span(obs::phase::kMpi);
   la::RealMatrix samp(nmu, nv + nc);
   for (Index m = 0; m < nmu; ++m) {
     const Index gp = km.interpolation_points[static_cast<std::size_t>(m)];
@@ -243,31 +190,32 @@ std::vector<Real> solve_implicit(par::Comm& comm,
       la::to_matrix<Real>(samp.view().cols_block(0, nv));
   const la::RealMatrix psi_c_mu =
       la::to_matrix<Real>(samp.view().cols_block(nv, nc));
-  t_mpi.stop();
+  mpi_span.end();
 
   // Local rows of Θ via the separable products (paper Eq 10), then
   // M = Θᵀ K Θ dv with the kernel sandwich streamed over column slices.
   // Θ is freed before the eigensolve.
   la::RealMatrix m_mat;
   {
-    PhaseTimer t_gemm(clock, obs::phase::kGemm);
-    const la::RealMatrix theta_loc = isdf::interpolation_vectors(
-        psi_v_loc, psi_c_loc, psi_v_mu.view(), psi_c_mu.view());
-    t_gemm.stop();
+    la::RealMatrix theta_loc;
+    {
+      const obs::Span span(obs::phase::kGemm);
+      theta_loc = isdf::interpolation_vectors(psi_v_loc, psi_c_loc,
+                                              psi_v_mu.view(), psi_c_mu.view());
+    }
     m_mat = kernel_projection(kernel, theta_loc.view(), &comm,
-                              cpu_phases(clock), reduce_chunk(options));
+                              reduce_chunk(options));
   }
 
   // Distributed implicit LOBPCG (Algorithm 2): the excitation vectors are
   // row-block partitioned over the pair space (valence blocks), the 3k x
   // 3k projected problem is replicated — the paper's parallel layout.
-  PhaseTimer t_diag(clock, obs::phase::kDiag);
+  const obs::Span span(obs::phase::kDiag);
   const ImplicitHamiltonian h(energy_differences(problem), std::move(m_mat),
                               psi_v_mu.view(), psi_c_mu.view(), &comm);
   TddftEigenOptions eig = options.eigen;
   eig.num_states = options.num_states;
   la::LobpcgResult sol = solve_casida_lobpcg(h, eig);
-  t_diag.stop();
   return std::move(sol.eigenvalues);
 }
 
@@ -281,7 +229,8 @@ DistDriverStats solve_casida_distributed(par::Comm& comm,
             "distributed driver supports kNaive and kImplicit");
 
   comm.reset_comm_seconds();
-  PhaseClock clock;
+  obs::PhaseAccumulator phase_seconds;
+  const obs::PhaseScope phase_clock(phase_seconds);
   Timer wall;
   ThreadCpuTimer cpu;
 
@@ -291,8 +240,8 @@ DistDriverStats solve_casida_distributed(par::Comm& comm,
 
   std::vector<Real> energies =
       (options.version == Version::kNaive)
-          ? solve_naive(comm, problem, kernel, options, clock)
-          : solve_implicit(comm, problem, kernel, options, clock);
+          ? solve_naive(comm, problem, kernel, options)
+          : solve_implicit(comm, problem, kernel, options);
 
   DistDriverStats stats;
   stats.energies = std::move(energies);
@@ -302,13 +251,19 @@ DistDriverStats solve_casida_distributed(par::Comm& comm,
   stats.busy_seconds = cpu.seconds();
   stats.wall_seconds = wall.seconds();
   stats.comm_seconds = comm.comm_seconds();
+  // Peak-memory gauge, read once per solve: VmHWM only rises and is
+  // process-wide, so the counter is the run's high-water mark.
+  static obs::Counter& hwm = obs::counter("mem.hwm.bytes");
+  const long long bytes = obs::vm_hwm_bytes();
+  if (bytes > 0) hwm.record_max(bytes);
 
   // Aggregate maxima across ranks (fixed phase key order so every rank
   // reduces the same vector).
-  const char* keys[] = {"pair_product", "kmeans", "fft", "mpi", "gemm",
-                        "diag"};
+  const char* keys[] = {obs::phase::kPairProduct, obs::phase::kKmeans,
+                        obs::phase::kFft,         obs::phase::kMpi,
+                        obs::phase::kGemm,        obs::phase::kDiag};
   std::vector<double> values;
-  for (const char* key : keys) values.push_back(clock.seconds[key]);
+  for (const char* key : keys) values.push_back(phase_seconds.total(key));
   values.push_back(stats.wall_seconds);
   values.push_back(stats.comm_seconds);
   values.push_back(stats.busy_seconds);

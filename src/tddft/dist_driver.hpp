@@ -17,10 +17,12 @@
 //    dense eigensolver (Fig 3c); the ISDF paths run distributed K-Means
 //    and keep the small factored Hamiltonian replicated for LOBPCG.
 //
-// Each rank accumulates wall time into the paper's Figure-8 phases
-// (kmeans / fft / mpi / gemm); the returned stats carry the max across
-// ranks plus the busy-time proxy used by the scaling benches (wall minus
-// time blocked in communication; see DESIGN.md).
+// Each rank opens one obs::Span per Figure-8 phase region (kmeans / fft /
+// mpi / gemm / diag / pair_product) under an obs::PhaseScope, so the
+// phase seconds are wall seconds, from spans — the same seconds a trace
+// shows. The returned stats carry their max across ranks, plus the busy
+// time: the one CPU column (this rank's thread CPU seconds, which leave
+// out blocking waits and time descheduled; see DESIGN.md).
 #pragma once
 
 #include <string>
@@ -63,9 +65,11 @@ struct DistDriverStats {
   std::vector<Real> energies;   ///< replicated on every rank
   double wall_seconds = 0;      ///< max over ranks
   double comm_seconds = 0;      ///< max over ranks (blocked in comm calls)
-  double busy_seconds = 0;      ///< max over ranks of wall - comm
-  /// Phase seconds (max over ranks): kmeans, fft, mpi, gemm, diag,
-  /// pair_product.
+  /// Max over ranks of the rank thread's CPU seconds: the only CPU
+  /// column; every other field is wall.
+  double busy_seconds = 0;
+  /// Phase wall seconds, from spans (max over ranks), in this fixed
+  /// order: pair_product, kmeans, fft, mpi, gemm, diag.
   std::vector<std::pair<std::string, double>> phases;
 };
 

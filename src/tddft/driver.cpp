@@ -4,6 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
+#include "obs/obs.hpp"
+#include "obs/phase_registry.hpp"
 
 namespace lrt::tddft {
 namespace {
@@ -65,6 +68,7 @@ DriverResult solve_casida(const CasidaProblem& problem,
             "bad num_states " << options.num_states);
 
   DriverResult result;
+  const obs::PhaseScope phase_clock(result.profiler);
   Timer total;
 
   const grid::GVectors gvectors(problem.grid);
@@ -73,10 +77,8 @@ DriverResult solve_casida(const CasidaProblem& problem,
 
   const Version version = options.version;
   if (version == Version::kNaive) {
-    const la::RealMatrix h =
-        build_hamiltonian_naive(problem, kernel, &result.profiler);
-    CasidaSolution sol =
-        diagonalize_dense(h, options.num_states, &result.profiler);
+    const la::RealMatrix h = build_hamiltonian_naive(problem, kernel);
+    CasidaSolution sol = diagonalize_dense(h, options.num_states);
     result.energies = std::move(sol.energies);
     result.wavefunctions = std::move(sol.wavefunctions);
     result.memory_bytes_estimate = memory_estimate(
@@ -92,19 +94,17 @@ DriverResult solve_casida(const CasidaProblem& problem,
                          ? isdf::PointMethod::kQrcp
                          : isdf::PointMethod::kKmeans;
   isdf_opts.build_coefficients = version != Version::kImplicit;
-  const isdf::IsdfResult decomposition =
-      isdf_decompose(problem.grid, problem.psi_v.view(), problem.psi_c.view(),
-                     isdf_opts, &result.profiler);
+  const isdf::IsdfResult decomposition = isdf_decompose(
+      problem.grid, problem.psi_v.view(), problem.psi_c.view(), isdf_opts);
   result.nmu_used = decomposition.nmu();
 
   if (version == Version::kImplicit) {
-    la::RealMatrix m =
-        build_kernel_projection(decomposition, kernel, &result.profiler);
+    la::RealMatrix m = build_kernel_projection(decomposition, kernel);
     const ImplicitHamiltonian h = make_implicit_hamiltonian(
         energy_differences(problem), decomposition, std::move(m));
     TddftEigenOptions eig = options.eigen;
     eig.num_states = options.num_states;
-    Timer diag;
+    const obs::Span span(obs::phase::kDiag);
     if (eig.method == EigenMethod::kDavidson) {
       la::DavidsonResult sol = solve_casida_davidson(h, eig);
       result.energies = std::move(sol.eigenvalues);
@@ -116,24 +116,22 @@ DriverResult solve_casida(const CasidaProblem& problem,
       result.wavefunctions = std::move(sol.eigenvectors);
       result.eigen_iterations = sol.iterations;
     }
-    result.profiler.add("diag", diag.seconds());
   } else {
     const la::RealMatrix h =
-        build_hamiltonian_isdf(problem, decomposition, kernel,
-                               &result.profiler);
+        build_hamiltonian_isdf(problem, decomposition, kernel);
     if (version == Version::kKmeansIsdfLobpcg) {
       TddftEigenOptions eig = options.eigen;
       eig.num_states = options.num_states;
-      Timer diag;
-      la::LobpcgResult sol =
-          solve_casida_lobpcg_dense(h, energy_differences(problem), eig);
-      result.profiler.add("diag", diag.seconds());
+      la::LobpcgResult sol;
+      {
+        const obs::Span span(obs::phase::kDiag);
+        sol = solve_casida_lobpcg_dense(h, energy_differences(problem), eig);
+      }
       result.energies = std::move(sol.eigenvalues);
       result.wavefunctions = std::move(sol.eigenvectors);
       result.eigen_iterations = sol.iterations;
     } else {
-      CasidaSolution sol =
-          diagonalize_dense(h, options.num_states, &result.profiler);
+      CasidaSolution sol = diagonalize_dense(h, options.num_states);
       result.energies = std::move(sol.energies);
       result.wavefunctions = std::move(sol.wavefunctions);
     }

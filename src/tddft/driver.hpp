@@ -12,6 +12,7 @@
 
 #include "dft/scf.hpp"
 #include "dft/synthetic.hpp"
+#include "obs/obs.hpp"
 #include "tddft/casida_isdf.hpp"
 #include "tddft/lobpcg_tddft.hpp"
 
@@ -42,8 +43,10 @@ struct DriverOptions {
 struct DriverResult {
   std::vector<Real> energies;    ///< lowest k excitation energies
   la::RealMatrix wavefunctions;  ///< Ncv x k
-  obs::WallProfiler profiler;         ///< phases: select_points, interp_vectors,
-                                 ///< pair_product, fft, gemm, diag
+  /// Wall seconds of every span the solve closed on the calling thread,
+  /// by name: isdf.select_points, isdf.interp_vectors, pair_product,
+  /// fft, gemm, diag among them.
+  obs::PhaseAccumulator profiler;
   double seconds_total = 0;
   Index nmu_used = 0;
   double memory_bytes_estimate = 0;  ///< Table 4 closed-form estimate

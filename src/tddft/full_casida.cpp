@@ -45,20 +45,17 @@ la::RealMatrix coupling_from_tda(const la::RealMatrix& h,
 }  // namespace
 
 la::RealMatrix build_omega_naive(const CasidaProblem& problem,
-                                 const HxcKernel& kernel,
-                                 obs::WallProfiler* profiler) {
+                                 const HxcKernel& kernel) {
   const std::vector<Real> d = energy_differences(problem);
-  const la::RealMatrix h = build_hamiltonian_naive(problem, kernel, profiler);
+  const la::RealMatrix h = build_hamiltonian_naive(problem, kernel);
   return sandwich_omega(coupling_from_tda(h, d), d);
 }
 
 la::RealMatrix build_omega_isdf(const CasidaProblem& problem,
                                 const isdf::IsdfResult& isdf_result,
-                                const HxcKernel& kernel,
-                                obs::WallProfiler* profiler) {
+                                const HxcKernel& kernel) {
   const std::vector<Real> d = energy_differences(problem);
-  const la::RealMatrix h =
-      build_hamiltonian_isdf(problem, isdf_result, kernel, profiler);
+  const la::RealMatrix h = build_hamiltonian_isdf(problem, isdf_result, kernel);
   return sandwich_omega(coupling_from_tda(h, d), d);
 }
 

@@ -20,14 +20,12 @@ namespace lrt::tddft {
 
 /// Dense Ω matrix via the naive (explicit pair product) path.
 la::RealMatrix build_omega_naive(const CasidaProblem& problem,
-                                 const HxcKernel& kernel,
-                                 obs::WallProfiler* profiler = nullptr);
+                                 const HxcKernel& kernel);
 
 /// Dense Ω matrix from an ISDF decomposition.
 la::RealMatrix build_omega_isdf(const CasidaProblem& problem,
                                 const isdf::IsdfResult& isdf_result,
-                                const HxcKernel& kernel,
-                                obs::WallProfiler* profiler = nullptr);
+                                const HxcKernel& kernel);
 
 /// Implicit Ω operator with the factored ISDF kernel.
 class ImplicitOmega {

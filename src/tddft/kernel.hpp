@@ -10,14 +10,11 @@
 // real-space multiply folded into the same pass.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "fft/poisson.hpp"
 #include "grid/gvectors.hpp"
 #include "la/matrix.hpp"
-#include "obs/obs.hpp"
 #include "par/comm.hpp"
 
 namespace lrt::tddft {
@@ -35,10 +32,9 @@ class HxcKernel {
   const std::vector<Real>& fxc() const { return fxc_; }
 
   /// out(:, j) = (v_H + f_xc) f(:, j) for every column (`out` may alias
-  /// `f`). Makes 2·⌈k/2⌉ 3-D transforms for k columns. `profiler`
-  /// receives the "fft" phase.
-  void apply(la::RealConstView f, la::RealView out,
-             obs::WallProfiler* profiler = nullptr) const;
+  /// `f`). Makes 2·⌈k/2⌉ 3-D transforms for k columns. Opens no Figure-8
+  /// span: the caller bills it (kernel_projection's "fft").
+  void apply(la::RealConstView f, la::RealView out) const;
 
  private:
   Index nr_;
@@ -46,12 +42,6 @@ class HxcKernel {
   fft::PoissonSolver poisson_;
   std::vector<Real> fxc_;  ///< zeros when include_xc == false
 };
-
-/// Runs one step of kernel_projection under its Figure-8 phase
-/// (obs::phase::kMpi, kFft or kGemm). The caller picks the clock and
-/// where the seconds go; an empty runner just runs the step.
-using PhaseRunner =
-    std::function<void(const char* phase, const std::function<void()>& step)>;
 
 /// M = sym(Fᵀ f_Hxc F)·dv for the columns of F (Nr x k): Θ for the ISDF
 /// paths, the pair products P for the naive one. Replicated on return.
@@ -66,14 +56,12 @@ using PhaseRunner =
 /// in chunks of that many rows. Without a communicator or with the
 /// allreduce, M is bit for bit gemm(Fᵀ, f_Hxc F) reduced and symmetrized
 /// whenever that gemm takes the packed path (k²·rows ≥ 24³).
+///
+/// Each step runs under its Figure-8 span: the exchanges under "mpi",
+/// the kernel under "fft", the GEMMs and the reduction under "gemm".
 la::RealMatrix kernel_projection(const HxcKernel& kernel,
                                  la::RealConstView rows,
                                  par::Comm* comm = nullptr,
-                                 const PhaseRunner& phase = {},
                                  Index pipeline_chunk = 0);
-
-/// A PhaseRunner adding each step's wall seconds to `profiler` (empty
-/// for a null profiler).
-PhaseRunner wall_phases(obs::WallProfiler* profiler);
 
 }  // namespace lrt::tddft

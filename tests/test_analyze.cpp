@@ -962,8 +962,8 @@ TEST(AnalyzeReport, RealRepositoryCountersAreRegistered) {
 }
 
 TEST(AnalyzeReport, LayerDagNeedsNoBaselineEdges) {
-  // The common -> obs shim edge was retired when ScopedPhase moved into
-  // obs/; the layer DAG must now hold with an empty edge baseline.
+  // The common -> obs shim edge was retired when the phase guard moved
+  // into obs/; the layer DAG must now hold with an empty edge baseline.
   Config config = real_repo_config();
   config.passes = {"layer-dag"};
   config.baseline_layer_edges.clear();

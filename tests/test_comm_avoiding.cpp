@@ -1,7 +1,6 @@
 // Communication-avoiding primitives: the single-round allreduce, the
-// nonblocking collectives and the overlapped transpose built on them, the
-// batched small-block GEMM, and the three-round LOBPCG iteration. Every
-// replacement here claims bitwise identity with the schedule it displaces
+// sliced transpose, the batched small-block GEMM, and the three-round
+// LOBPCG iteration. Every replacement here claims bitwise identity with the schedule it displaces
 // (or, for LOBPCG, the serial solve with the one-rank distributed one), so
 // these tests compare exactly — no tolerances except where a kernel
 // legitimately reassociates.
@@ -88,78 +87,6 @@ TEST(Allreduce, BillsItsOwnTrafficKind) {
     if (comm.size() > 1) {
       EXPECT_GT(comm.bytes_sent(par::Traffic::kAllreduce), 0);
     }
-  });
-}
-
-// ----- nonblocking collectives ------------------------------------------------
-
-TEST(NonblockingCollectives, AlltoallvMatchesBlockingExactly) {
-  const int p = 4;
-  par::run(p, [](par::Comm& comm) {
-    const int np = comm.size();
-    const int me = comm.rank();
-    // Rank r sends (r + 1) elements to every peer, value-tagged by the
-    // (src, dst) pair so misrouted payloads are visible.
-    std::vector<Index> scounts(static_cast<std::size_t>(np));
-    std::vector<Index> sdispls(static_cast<std::size_t>(np));
-    std::vector<Index> rcounts(static_cast<std::size_t>(np));
-    std::vector<Index> rdispls(static_cast<std::size_t>(np));
-    Index stot = 0, rtot = 0;
-    for (int r = 0; r < np; ++r) {
-      scounts[static_cast<std::size_t>(r)] = me + 1;
-      sdispls[static_cast<std::size_t>(r)] = stot;
-      stot += me + 1;
-      rcounts[static_cast<std::size_t>(r)] = r + 1;
-      rdispls[static_cast<std::size_t>(r)] = rtot;
-      rtot += r + 1;
-    }
-    std::vector<double> send(static_cast<std::size_t>(stot));
-    for (int r = 0; r < np; ++r) {
-      for (Index i = 0; i < me + 1; ++i) {
-        send[static_cast<std::size_t>(sdispls[static_cast<std::size_t>(r)] +
-                                      i)] = 100.0 * me + 10.0 * r + i;
-      }
-    }
-    std::vector<double> blocking(static_cast<std::size_t>(rtot), -1.0);
-    std::vector<double> nonblocking(static_cast<std::size_t>(rtot), -2.0);
-    comm.alltoallv(send.data(), scounts, sdispls, blocking.data(), rcounts,
-                   rdispls);
-    par::Comm::Request req = comm.i_alltoallv(
-        send.data(), scounts, sdispls, nonblocking.data(), rcounts, rdispls);
-    EXPECT_TRUE(req.pending() || np == 1);
-    req.wait();
-    EXPECT_FALSE(req.pending());
-    req.wait();  // idempotent
-    EXPECT_EQ(blocking, nonblocking);
-  });
-}
-
-TEST(NonblockingCollectives, AllgathervMatchesBlockingExactly) {
-  const int p = 5;
-  par::run(p, [](par::Comm& comm) {
-    const int np = comm.size();
-    const int me = comm.rank();
-    std::vector<Index> counts(static_cast<std::size_t>(np));
-    std::vector<Index> displs(static_cast<std::size_t>(np));
-    Index total = 0;
-    for (int r = 0; r < np; ++r) {
-      counts[static_cast<std::size_t>(r)] = r % 3 + 1;
-      displs[static_cast<std::size_t>(r)] = total;
-      total += counts[static_cast<std::size_t>(r)];
-    }
-    const Index mine = counts[static_cast<std::size_t>(me)];
-    std::vector<double> send(static_cast<std::size_t>(mine));
-    for (Index i = 0; i < mine; ++i) {
-      send[static_cast<std::size_t>(i)] = 10.0 * me + i;
-    }
-    std::vector<double> blocking(static_cast<std::size_t>(total), -1.0);
-    std::vector<double> nonblocking(static_cast<std::size_t>(total), -2.0);
-    comm.allgatherv(send.data(), mine, blocking.data(), counts, displs);
-    par::Comm::Request req =
-        comm.i_allgatherv(send.data(), mine, nonblocking.data(), counts,
-                          displs);
-    req.wait();
-    EXPECT_EQ(blocking, nonblocking);
   });
 }
 

@@ -1,9 +1,12 @@
-// Tests for the common utilities: error macros, RNG, CLI, tables, timers.
+// Tests for the common utilities: error macros, RNG, CLI, tables, timers,
+// and the span-fed phase clock (obs::PhaseAccumulator, obs::PhaseScope).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -11,6 +14,8 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "obs/obs.hpp"
+#include "par/comm.hpp"
+#include "par/runtime.hpp"
 
 namespace lrt {
 namespace {
@@ -118,8 +123,8 @@ TEST(Table, CsvRoundTrip) {
   EXPECT_EQ(line, "1,2");
 }
 
-TEST(WallProfiler, AccumulatesNamedPhases) {
-  obs::WallProfiler p;
+TEST(PhaseAccumulator, AccumulatesNamedPhases) {
+  obs::PhaseAccumulator p;
   p.add("fft", 1.0);
   p.add("gemm", 2.0);
   p.add("fft", 0.5);
@@ -132,11 +137,129 @@ TEST(WallProfiler, AccumulatesNamedPhases) {
   EXPECT_EQ(phases[0], "fft");  // insertion order preserved
 }
 
-TEST(WallProfiler, ScopedPhaseAddsTime) {
-  obs::WallProfiler p;
-  { obs::ScopedPhase guard(p, "work"); }
+TEST(PhaseAccumulator, PhaseScopeAddsSpanTime) {
+  obs::PhaseAccumulator p;
+  {
+    const obs::PhaseScope scope(p);
+    const obs::Span span("work");
+  }
   EXPECT_GE(p.total("work"), 0.0);
   EXPECT_EQ(p.phases().size(), 1u);
+}
+
+/// Sets tracing for one test and clears the trace on entry and exit.
+class TracingFixture {
+ public:
+  explicit TracingFixture(bool enable) : saved_(obs::tracing_enabled()) {
+    obs::set_tracing_enabled(enable);
+    obs::reset_trace();
+  }
+  ~TracingFixture() {
+    obs::reset_trace();
+    obs::set_tracing_enabled(saved_);
+  }
+
+ private:
+  bool saved_;
+};
+
+/// True when `phases` holds exactly `names`, in insertion order.
+bool phases_are(const obs::PhaseAccumulator& phases,
+                std::initializer_list<const char*> names) {
+  const std::vector<std::string> got = phases.phases();
+  if (got.size() != names.size()) return false;
+  std::size_t i = 0;
+  for (const char* name : names) {
+    if (got[i++] != name) return false;
+  }
+  return true;
+}
+
+/// Keeps a span open for at least ~50 µs of wall time.
+void busy_span(const char* name) {
+  const obs::Span span(name);
+  const Timer t;
+  while (t.seconds() < 50e-6) {
+  }
+}
+
+TEST(ObsPhaseScope, SpansFeedTheAccumulatorTracedOrNot) {
+  {
+    TracingFixture tracing(false);
+    obs::PhaseAccumulator phases;
+    {
+      const obs::PhaseScope scope(phases);
+      busy_span("scope_phase");
+      busy_span("scope_phase");
+    }
+    EXPECT_GE(phases.total("scope_phase"), 100e-6);
+    EXPECT_EQ(obs::span_count(), 0u);  // counted, not traced
+  }
+  {
+    TracingFixture tracing(true);
+    obs::PhaseAccumulator phases;
+    {
+      const obs::PhaseScope scope(phases);
+      const obs::Span outer("scope_outer");
+      busy_span("scope_phase");
+    }
+    busy_span("scope_phase");  // after the scope: traced, not counted
+    ASSERT_TRUE(phases_are(phases, {"scope_phase", "scope_outer"}));
+    // The accumulator holds exactly the traced durations of the spans
+    // closed inside the scope; nested spans each add their own.
+    const auto spans = obs::detail::snapshot_spans();
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].name, "scope_phase");
+    EXPECT_EQ(spans[1].name, "scope_outer");
+    EXPECT_DOUBLE_EQ(phases.total("scope_phase"),
+                     1e-9 * static_cast<double>(spans[0].end_ns -
+                                                spans[0].start_ns));
+    EXPECT_DOUBLE_EQ(phases.total("scope_outer"),
+                     1e-9 * static_cast<double>(spans[1].end_ns -
+                                                spans[1].start_ns));
+    EXPECT_GE(phases.total("scope_outer"), phases.total("scope_phase"));
+  }
+}
+
+TEST(ObsPhaseScope, NestedScopeRestoresTheOuterOne) {
+  TracingFixture tracing(false);
+  obs::PhaseAccumulator outer;
+  obs::PhaseAccumulator inner;
+  {
+    const obs::PhaseScope outer_scope(outer);
+    busy_span("scope_a");
+    {
+      const obs::PhaseScope inner_scope(inner);
+      busy_span("scope_b");
+    }
+    busy_span("scope_c");
+  }
+  busy_span("scope_d");
+  EXPECT_TRUE(phases_are(outer, {"scope_a", "scope_c"}));
+  EXPECT_TRUE(phases_are(inner, {"scope_b"}));
+  EXPECT_GT(outer.total("scope_a"), 0.0);
+  EXPECT_GT(outer.total("scope_c"), 0.0);
+  EXPECT_GT(inner.total("scope_b"), 0.0);
+}
+
+TEST(ObsPhaseScope, SpansOnOtherThreadsAreNotCounted) {
+  TracingFixture tracing(false);
+  obs::PhaseAccumulator phases;
+  std::vector<obs::PhaseAccumulator> per_rank(2);
+  {
+    const obs::PhaseScope scope(phases);
+    par::run(2, [&](par::Comm& comm) {
+      busy_span("scope_elsewhere");  // no scope on this thread yet
+      const obs::PhaseScope own(
+          per_rank[static_cast<std::size_t>(comm.rank())]);
+      busy_span("scope_worker");
+    });
+    busy_span("scope_here");
+  }
+  EXPECT_TRUE(phases_are(phases, {"scope_here"}));
+  for (const obs::PhaseAccumulator& rank_phases : per_rank) {
+    EXPECT_TRUE(phases_are(rank_phases, {"scope_worker"}));
+  }
 }
 
 TEST(Timer, MeasuresNonNegative) {

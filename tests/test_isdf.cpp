@@ -244,8 +244,12 @@ TEST(Isdf, DecomposeFillsAllFactors) {
   OrbitalFixture f;
   IsdfOptions opts;
   opts.nmu = 10;
-  obs::WallProfiler profiler;
-  const IsdfResult r = isdf_decompose(f.grid, f.v(), f.c(), opts, &profiler);
+  obs::PhaseAccumulator profiler;
+  IsdfResult r;
+  {
+    const obs::PhaseScope scope(profiler);
+    r = isdf_decompose(f.grid, f.v(), f.c(), opts);
+  }
   EXPECT_EQ(r.nmu(), 10);
   EXPECT_EQ(r.c.rows(), 10);
   EXPECT_EQ(r.c.cols(), f.v().cols() * f.c().cols());
@@ -253,8 +257,8 @@ TEST(Isdf, DecomposeFillsAllFactors) {
   EXPECT_EQ(r.theta.cols(), 10);
   EXPECT_EQ(r.psi_v_mu.rows(), 10);
   EXPECT_EQ(r.psi_c_mu.cols(), f.c().cols());
-  EXPECT_GT(profiler.total("select_points"), 0.0);
-  EXPECT_GT(profiler.total("interp_vectors"), 0.0);
+  EXPECT_GT(profiler.total("isdf.select_points"), 0.0);
+  EXPECT_GT(profiler.total("isdf.interp_vectors"), 0.0);
 }
 
 TEST(Isdf, ImplicitModeSkipsCoefficientMatrix) {

@@ -262,19 +262,6 @@ TEST(ObsTrace, ComposesWithRuntimeVerifier) {
   EXPECT_NE(find_phase(stats, "allreduce"), nullptr);
 }
 
-TEST(ObsShim, ScopedPhaseFeedsProfilerAndTrace) {
-  TracingFixture tracing(true);
-  obs::WallProfiler profiler;
-  {
-    obs::ScopedPhase phase(profiler, "shim_phase");
-  }
-  EXPECT_GE(profiler.total("shim_phase"), 0.0);
-  ASSERT_EQ(profiler.phases().size(), 1u);
-  EXPECT_EQ(profiler.phases()[0], "shim_phase");
-  const auto stats = obs::aggregate_phases();
-  EXPECT_NE(find_phase(stats, "shim_phase"), nullptr);
-}
-
 TEST(ObsBenchReport, JsonRoundTripsWithSchemaAndCounters) {
   obs::counter("test.obs.bench").reset();
   obs::counter("test.obs.bench").add(42);

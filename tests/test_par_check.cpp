@@ -193,84 +193,6 @@ TEST(ParCheck, AllgathervDisagreeingCountsDetected) {
       << report;
 }
 
-TEST(ParCheck, NonblockingAlltoallvInconsistentCountMatrixDetected) {
-  const std::string report = expect_verifier_error(
-      2,
-      [](Comm& comm) {
-        // Same seeded bug as the blocking variant: rank 0 sends 2
-        // elements to rank 1, but rank 1 expects 3. The nonblocking
-        // issue records the same count matrices, so the cross-rank check
-        // fires before any wait().
-        const bool r0 = comm.rank() == 0;
-        std::vector<Index> scounts = r0 ? std::vector<Index>{0, 2}
-                                        : std::vector<Index>{1, 0};
-        std::vector<Index> rcounts = r0 ? std::vector<Index>{0, 1}
-                                        : std::vector<Index>{3, 0};
-        std::vector<Index> sdispls = {0, 0};
-        std::vector<Index> rdispls = {0, 0};
-        std::vector<double> send(4, 1.0), recv(4, 0.0);
-        Comm::Request req = comm.i_alltoallv(send.data(), scounts, sdispls,
-                                             recv.data(), rcounts, rdispls);
-        req.wait();
-      },
-      checked());
-  EXPECT_NE(report.find("alltoallv count matrix inconsistent"),
-            std::string::npos)
-      << report;
-}
-
-TEST(ParCheck, UnwaitedNonblockingHandleReportedAsLeak) {
-  const std::string report = expect_verifier_error(
-      2,
-      [](Comm& comm) {
-        const int p = comm.size();
-        std::vector<Index> counts(static_cast<std::size_t>(p), 1);
-        std::vector<Index> displs = {0, 1};
-        std::vector<double> recv(static_cast<std::size_t>(p), 0.0);
-        const double mine = comm.rank();
-        Comm::Request req =
-            comm.i_allgatherv(&mine, 1, recv.data(), counts, displs);
-        // The handle goes out of scope without wait(): its receives never
-        // drain, and the handle sweep names the abandoned call.
-        (void)req;
-      },
-      checked());
-  EXPECT_NE(report.find("nonblocking handle leak"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("never waited"), std::string::npos) << report;
-  EXPECT_NE(report.find("i_allgatherv"), std::string::npos) << report;
-}
-
-TEST(ParCheck, OverlappingNonblockingHandlesRunClean) {
-  EXPECT_NO_THROW(run(
-      4,
-      [](Comm& comm) {
-        const int p = comm.size();
-        std::vector<Index> counts(static_cast<std::size_t>(p), 1);
-        std::vector<Index> displs(static_cast<std::size_t>(p));
-        for (int r = 0; r < p; ++r) displs[static_cast<std::size_t>(r)] = r;
-        std::vector<double> recv_a(static_cast<std::size_t>(p), 0.0);
-        std::vector<double> recv_b(static_cast<std::size_t>(p), 0.0);
-        const double mine = comm.rank();
-        const double twice = 2.0 * comm.rank();
-        // Two collectives in flight at once, waited in reverse order:
-        // the tag window keeps their traffic separate.
-        Comm::Request a =
-            comm.i_allgatherv(&mine, 1, recv_a.data(), counts, displs);
-        Comm::Request b =
-            comm.i_allgatherv(&twice, 1, recv_b.data(), counts, displs);
-        b.wait();
-        a.wait();
-        for (int r = 0; r < p; ++r) {
-          LRT_CHECK(recv_a[static_cast<std::size_t>(r)] == r &&
-                        recv_b[static_cast<std::size_t>(r)] == 2.0 * r,
-                    "overlapped allgatherv payload mismatch");
-        }
-        comm.barrier();
-      },
-      checked()));
-}
-
 TEST(ParCheck, DeadlockWatchdogFiresOnUnmatchedRecv) {
   const std::string report = expect_verifier_error(
       2,

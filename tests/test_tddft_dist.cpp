@@ -189,6 +189,38 @@ TEST(DistDriverObs, Fig8PhaseSpansPerRank) {
   }
 }
 
+TEST(DistDriverObs, PhasesAreWallSecondsFromSpans) {
+  // DistDriverStats::phases is the max over ranks of each phase's traced
+  // span seconds — wall, not CPU — so a stats table and a trace agree.
+  const bool was_enabled = obs::tracing_enabled();
+  obs::set_tracing_enabled(true);
+  obs::reset_trace();
+  const CasidaProblem problem = make_test_problem();
+  DistDriverStats stats;
+  par::run(4, [&](par::Comm& comm) {
+    DistDriverOptions opts;
+    opts.version = Version::kImplicit;
+    opts.num_states = 2;
+    opts.nmu = 12;
+    DistDriverStats mine = solve_casida_distributed(comm, problem, opts);
+    if (comm.rank() == 0) stats = std::move(mine);
+  });
+  const auto traced = obs::aggregate_phases();
+  ASSERT_EQ(stats.phases.size(), 6u);
+  for (const auto& [name, seconds] : stats.phases) {
+    double max_rank_seconds = 0.0;
+    for (const obs::PhaseStats& s : traced) {
+      if (s.name == name) max_rank_seconds = s.max_rank_seconds;
+    }
+    if (name != "pair_product") {
+      EXPECT_GT(max_rank_seconds, 0.0) << name;
+    }
+    EXPECT_NEAR(seconds, max_rank_seconds, 1e-6) << name;
+  }
+  obs::reset_trace();
+  obs::set_tracing_enabled(was_enabled);
+}
+
 TEST(DistDriver, RejectsUnsupportedVersion) {
   const CasidaProblem problem = make_test_problem();
   par::run(1, [&](par::Comm& comm) {

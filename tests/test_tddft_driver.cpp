@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "obs/obs.hpp"
 #include "tddft/driver.hpp"
 
 namespace lrt::tddft {
@@ -92,17 +96,59 @@ TEST(Driver, ProfilerPhasesPresentPerVersion) {
   const DriverResult r1 = solve_casida(p, naive);
   EXPECT_GT(r1.profiler.total("pair_product"), 0.0);
   EXPECT_GT(r1.profiler.total("diag"), 0.0);
-  EXPECT_DOUBLE_EQ(r1.profiler.total("select_points"), 0.0);
+  EXPECT_DOUBLE_EQ(r1.profiler.total("isdf.select_points"), 0.0);
 
   DriverOptions imp;
   imp.version = Version::kImplicit;
   imp.nmu = 16;
   const DriverResult r2 = solve_casida(p, imp);
-  EXPECT_GT(r2.profiler.total("select_points"), 0.0);
-  EXPECT_GT(r2.profiler.total("interp_vectors"), 0.0);
+  EXPECT_GT(r2.profiler.total("isdf.select_points"), 0.0);
+  EXPECT_GT(r2.profiler.total("isdf.interp_vectors"), 0.0);
   EXPECT_GT(r2.profiler.total("fft"), 0.0);
   EXPECT_DOUBLE_EQ(r2.profiler.total("pair_product"), 0.0);
   EXPECT_GT(r2.seconds_total, 0.0);
+}
+
+TEST(Driver, ProfilerPhasesAreTheCallingThreadsSpans) {
+  // The profiler is filled from spans: with tracing on, every Fig-8
+  // phase the serial solve bills is a traced span on the calling thread
+  // (rank -1), and the profiler holds exactly their summed duration.
+  const CasidaProblem p = make_test_problem();
+  const bool was_enabled = obs::tracing_enabled();
+  for (const Version version : {Version::kImplicit, Version::kNaive}) {
+    DriverOptions opts;
+    opts.version = version;
+    opts.nmu = 16;
+    std::vector<std::string> phases = {"fft", "gemm", "diag"};
+    if (version == Version::kNaive) phases.push_back("pair_product");
+
+    obs::set_tracing_enabled(true);
+    obs::reset_trace();
+    const DriverResult traced = solve_casida(p, opts);
+    std::map<std::string, long long> span_ns;
+    std::map<std::string, int> span_count;
+    for (const auto& span : obs::detail::snapshot_spans()) {
+      if (span.rank != -1) continue;
+      span_ns[span.name] += span.end_ns - span.start_ns;
+      ++span_count[span.name];
+    }
+    for (const std::string& phase : phases) {
+      EXPECT_GT(span_count[phase], 0) << version_name(version) << " " << phase;
+      EXPECT_NEAR(traced.profiler.total(phase),
+                  1e-9 * static_cast<double>(span_ns[phase]), 1e-6)
+          << version_name(version) << " " << phase;
+    }
+
+    obs::set_tracing_enabled(false);
+    obs::reset_trace();
+    const DriverResult untraced = solve_casida(p, opts);
+    EXPECT_EQ(obs::span_count(), 0u);
+    for (const std::string& phase : phases) {
+      EXPECT_GT(untraced.profiler.total(phase), 0.0)
+          << version_name(version) << " " << phase;
+    }
+  }
+  obs::set_tracing_enabled(was_enabled);
 }
 
 TEST(Driver, RpaKernelOptionLowersCoupling) {

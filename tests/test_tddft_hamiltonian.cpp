@@ -46,8 +46,12 @@ TEST(EnergyDifferences, PairOrderingAndValues) {
 TEST(NaiveHamiltonian, IsSymmetricWithDOnDiagonalTail) {
   const CasidaProblem p = make_test_problem();
   const HxcKernel kernel = make_kernel(p);
-  obs::WallProfiler profiler;
-  const la::RealMatrix h = build_hamiltonian_naive(p, kernel, &profiler);
+  obs::PhaseAccumulator profiler;
+  la::RealMatrix h;
+  {
+    const obs::PhaseScope scope(profiler);
+    h = build_hamiltonian_naive(p, kernel);
+  }
 
   EXPECT_EQ(h.rows(), p.ncv());
   for (Index i = 0; i < h.rows(); ++i) {
@@ -186,12 +190,12 @@ TEST_P(KernelProjectionSweep, RowSlabsMatchSerialProjection) {
       const Index r0 = rows.offset(comm.rank());
       const Index nr = rows.count(comm.rank());
       const la::RealMatrix m = kernel_projection(
-          kernel, theta.view().rows_block(r0, nr), &comm, {}, pipeline_chunk);
+          kernel, theta.view().rows_block(r0, nr), &comm, pipeline_chunk);
       EXPECT_LE(relative_diff(m, serial_m), 1e-12)
           << "p=" << p << " chunk=" << pipeline_chunk;
       const la::RealMatrix h = casida_hamiltonian(
           kernel_projection(kernel, pairs.view().rows_block(r0, nr), &comm,
-                            {}, pipeline_chunk),
+                            pipeline_chunk),
           energy_differences(problem));
       EXPECT_LE(relative_diff(h, serial_h), 1e-12)
           << "naive H, p=" << p << " chunk=" << pipeline_chunk;

@@ -163,16 +163,6 @@ TEST(HxcKernel, InPlaceApplyIsBitIdentical) {
   }
 }
 
-TEST(HxcKernel, ProfilerReceivesFftPhase) {
-  KernelFixture f;
-  const HxcKernel kernel(f.grid, f.gvectors, f.density, true);
-  la::RealMatrix in(f.grid.size(), 1, 1.0);
-  la::RealMatrix out(f.grid.size(), 1);
-  obs::WallProfiler profiler;
-  kernel.apply(in.view(), out.view(), &profiler);
-  EXPECT_GT(profiler.total("fft"), 0.0);
-}
-
 TEST(HxcKernel, ShapeChecks) {
   KernelFixture f;
   const HxcKernel kernel(f.grid, f.gvectors, f.density, true);

@@ -13,7 +13,10 @@
 #               Both sanitizer flavors also run the Fig-8 and Fig-7
 #               bench smokes (bench_fig8_breakdown --smoke, then
 #               bench_fig7_strong_scaling --smoke: the Naive and implicit
-#               versions at 1 and 3 ranks, an uneven partition), so rank
+#               versions at 1 and 3 ranks, an uneven partition) and
+#               examples/parallel_scaling at 3 ranks (implicit, then
+#               Naive with the pipelined reduce; it switches tracing on
+#               at run time and reads DistDriverStats::phases), so rank
 #               threads writing shared state outside the tests reach a
 #               sanitizer too.
 #   bench       bench-smoke: tools/bench.sh --smoke in the plain tree —
@@ -165,6 +168,14 @@ if [ "$do_asan" -eq 1 ]; then
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-asan/bench/bench_fig7_strong_scaling --smoke
+  echo "=== [asan+ubsan] parallel_scaling (3 ranks: implicit, Naive pipelined) ==="
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/examples/parallel_scaling --ranks 3
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/examples/parallel_scaling --ranks 3 --version naive \
+      --pipelined=true
   echo "=== [asan+ubsan] ctest with LRT_FAULT (injection under sanitizers) ==="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -184,6 +195,12 @@ if [ "$do_tsan" -eq 1 ]; then
   echo "=== [tsan] fig7 bench smoke (Naive + implicit, ranks 1 and 3) ==="
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/bench/bench_fig7_strong_scaling --smoke
+  echo "=== [tsan] parallel_scaling (3 ranks: implicit, Naive pipelined) ==="
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/examples/parallel_scaling --ranks 3
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/examples/parallel_scaling --ranks 3 --version naive \
+      --pipelined=true
 fi
 
 echo "CI: all requested flavors passed"
