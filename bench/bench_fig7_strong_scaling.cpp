@@ -38,7 +38,7 @@ void sweep(const char* name, const tddft::Version version,
     tddft::DistDriverStats stats;
     long long bytes = 0;
     par::run(ranks, [&](par::Comm& comm) {
-      tddft::DistDriverOptions opts;
+      tddft::DriverOptions opts;
       opts.version = version;
       opts.num_states = 4;
       opts.nmu_ratio = 4.0;

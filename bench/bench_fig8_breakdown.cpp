@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     obs::reset_counters();
     tddft::DistDriverStats stats;
     par::run(ranks, [&](par::Comm& comm) {
-      tddft::DistDriverOptions opts;
+      tddft::DriverOptions opts;
       opts.version = tddft::Version::kImplicit;
       opts.num_states = 4;
       opts.nmu_ratio = 4.0;

@@ -23,7 +23,7 @@ int main() {
     const tddft::CasidaProblem problem = bench::make_workload(w);
     tddft::DistDriverStats stats;
     par::run(kRanks, [&](par::Comm& comm) {
-      tddft::DistDriverOptions opts;
+      tddft::DriverOptions opts;
       opts.version = tddft::Version::kImplicit;
       opts.num_states = 4;
       opts.nmu_ratio = 4.0;

@@ -7,6 +7,7 @@
 // and communication volume, not the wall clock.
 //
 //   ./parallel_scaling [--ranks 4] [--nv 10] [--nc 8] [--grid 12]
+//                      [--version implicit] [--pipeline-chunk 0]
 #include <cstdio>
 #include <iostream>
 #include <utility>
@@ -25,7 +26,9 @@ int main(int argc, char** argv) {
       .add("nc", "8", "conduction orbitals")
       .add("grid", "12", "grid points per axis")
       .add("version", "implicit", "naive | implicit")
-      .add("pipelined", "false", "use pipelined GEMM+Reduce (Fig 5)");
+      .add("pipeline-chunk", "0",
+           "rows per pipelined reduce to the row owners (Fig 5); 0 = one "
+           "allreduce");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help();
@@ -41,11 +44,11 @@ int main(int argc, char** argv) {
   const tddft::CasidaProblem problem =
       tddft::make_problem_from_synthetic(g, orbs);
 
-  tddft::DistDriverOptions opts;
+  tddft::DriverOptions opts;
   opts.version = cli.get("version") == "naive" ? tddft::Version::kNaive
                                                : tddft::Version::kImplicit;
   opts.num_states = 3;
-  opts.pipelined_reduce = cli.get_bool("pipelined");
+  opts.pipeline_chunk = cli.get_index("pipeline-chunk");
 
   const int ranks = static_cast<int>(cli.get_index("ranks"));
   // Record spans so we can report per-rank load imbalance afterwards

@@ -37,17 +37,8 @@ void CliParser::parse(int argc, const char* const* argv) {
       value = arg.substr(eq + 1);
     } else {
       name = arg;
-      auto it = options_.find(name);
-      LRT_CHECK(it != options_.end(), "unknown option --" << name << "\n"
-                                                          << help());
-      const bool is_flag =
-          it->second.default_value == "true" || it->second.default_value == "false";
-      if (is_flag) {
-        value = "true";
-      } else {
-        LRT_CHECK(i + 1 < argc, "option --" << name << " expects a value");
-        value = argv[++i];
-      }
+      LRT_CHECK(i + 1 < argc, "option --" << name << " expects a value");
+      value = argv[++i];
     }
     auto it = options_.find(name);
     LRT_CHECK(it != options_.end(), "unknown option --" << name << "\n"
@@ -89,15 +80,6 @@ Real CliParser::get_real(const std::string& name) const {
   LRT_CHECK(end && *end == '\0',
             "option --" << name << ": '" << value << "' is not a number");
   return parsed;
-}
-
-bool CliParser::get_bool(const std::string& name) const {
-  const std::string value = get(name);
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  LRT_CHECK(false, "option --" << name << ": '" << value
-                               << "' is not a boolean");
-  return false;
 }
 
 }  // namespace lrt

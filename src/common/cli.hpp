@@ -1,6 +1,7 @@
 // Tiny command-line option parser for the examples and bench drivers.
 //
-// Supports `--name value`, `--name=value` and boolean `--flag` forms.
+// Supports the `--name value` and `--name=value` forms; every option
+// takes a value.
 // Unknown options raise an error listing registered names, so examples
 // fail loudly instead of silently ignoring typos.
 #pragma once
@@ -34,7 +35,6 @@ class CliParser {
   std::string get(const std::string& name) const;
   Index get_index(const std::string& name) const;
   Real get_real(const std::string& name) const;
-  bool get_bool(const std::string& name) const;
 
  private:
   struct Option {

@@ -33,9 +33,7 @@ IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
     const obs::Span span("isdf.interp_vectors");
     result.psi_v_mu = sample_rows(psi_v, result.points);
     result.psi_c_mu = sample_rows(psi_c, result.points);
-    if (options.build_coefficients) {
-      result.c = coefficient_matrix(psi_v, psi_c, result.points);
-    }
+    result.c = coefficient_matrix(psi_v, psi_c, result.points);
     result.theta = interpolation_vectors(psi_v, psi_c, result.psi_v_mu.view(),
                                          result.psi_c_mu.view());
   }

@@ -23,13 +23,11 @@ struct IsdfOptions {
   PointMethod method = PointMethod::kKmeans;
   QrcpPointOptions qrcp;
   kmeans::KMeansOptions kmeans;
-  /// Skip building C explicitly (implicit drivers use the sampled factors).
-  bool build_coefficients = true;
 };
 
 struct IsdfResult {
   std::vector<Index> points;
-  la::RealMatrix c;         ///< empty when build_coefficients == false
+  la::RealMatrix c;         ///< Nμ x Nv·Nc
   la::RealMatrix psi_v_mu;  ///< Nμ x Nv
   la::RealMatrix psi_c_mu;  ///< Nμ x Nc
   la::RealMatrix theta;     ///< Nr x Nμ
@@ -38,7 +36,7 @@ struct IsdfResult {
 };
 
 /// Full decomposition. Spans: "isdf.select_points" and
-/// "isdf.interp_vectors" (the serial driver's profiler keys).
+/// "isdf.interp_vectors" (profiler keys of the driver's ablation versions).
 IsdfResult isdf_decompose(const grid::RealSpaceGrid& grid,
                           la::RealConstView psi_v, la::RealConstView psi_c,
                           const IsdfOptions& options);

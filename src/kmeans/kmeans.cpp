@@ -308,9 +308,11 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
   const Index n = static_cast<Index>(points.size());
   LRT_CHECK(static_cast<Index>(weights.size()) == n,
             "points/weights size mismatch");
-  LRT_CHECK(k >= 1 && (comm != nullptr || k <= n),
+  // A one-rank communicator holds every point: that is the serial case.
+  const bool one_rank = comm == nullptr || comm->size() == 1;
+  LRT_CHECK(k >= 1 && (!one_rank || k <= n),
             "bad cluster count " << k << " for " << n << " points");
-  LRT_CHECK(comm == nullptr || options.seeding == Seeding::kTopWeight,
+  LRT_CHECK(one_rank || options.seeding == Seeding::kTopWeight,
             "a distributed K-Means seeds from the top-weight points only");
 
   KMeansResult result;
@@ -331,8 +333,7 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
   }
   const Index local_pruned = n - static_cast<Index>(result.kept_points.size());
   result.num_pruned = local_pruned;
-  LRT_CHECK(comm != nullptr ||
-                static_cast<Index>(result.kept_points.size()) >= k,
+  LRT_CHECK(!one_rank || static_cast<Index>(result.kept_points.size()) >= k,
             "pruning left fewer points than clusters; lower the threshold");
 
   const std::vector<Index>& kept = result.kept_points;
@@ -352,7 +353,7 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     start_iter = ck.iteration;
     restored_objective = ck.objective;
     if (ck.has_rng) rng.set_state(ck.rng);
-  } else if (comm) {
+  } else if (!one_rank) {
     result.centroids = seed_top_weight(*comm, points, weights, kept, k);
   } else {
     result.centroids =
@@ -422,11 +423,12 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     // static chunk's objective terms into its own slot and the slots are
     // added in thread order: a reduction(+) clause would combine the
     // partials in completion order and move the last bits between runs.
-    // A rank thread forms no team: the ranks already share the cores.
+    // A rank thread of a multi-rank run forms no team: the ranks already
+    // share the cores.
     std::fill(thread_objective.begin(), thread_objective.end(), Real{0});
     long long full_scans = 0;
     long long skips = 0;
-#pragma omp parallel if (comm == nullptr) reduction(+ : full_scans, skips)
+#pragma omp parallel if (one_rank) reduction(+ : full_scans, skips)
     {
       Real objective = 0;
 #pragma omp for schedule(static)
@@ -522,7 +524,7 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
               cell ? centroid[static_cast<std::size_t>(ax)] + mean : mean;
         }
         if (cell) centroid = cell->wrap(centroid);
-      } else if (comm == nullptr) {
+      } else if (one_rank) {
         // Empty cluster: reseed at a random heavy kept point.
         const Index p = kept[static_cast<std::size_t>(
             rng.uniform_index(static_cast<std::uint64_t>(nkept)))];
@@ -544,17 +546,21 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
       ck.iteration = iter + 1;
       ck.objective = previous_objective;
       // Across ranks no Rng is ever drawn, so none is saved.
-      ck.has_rng = comm == nullptr;
+      ck.has_rng = one_rank;
       ck.rng = rng.state();
       options.checkpoint_sink(ck);
     }
   }
 
-  result.interpolation_points =
-      comm ? gather_representatives(*comm, points, kept, result.assignment,
-                                    result.centroids, cell, global_offset)
-           : claim_representatives(points, kept, result.assignment,
-                                   result.centroids, cell);
+  if (one_rank) {
+    result.interpolation_points = claim_representatives(
+        points, kept, result.assignment, result.centroids, cell);
+    for (Index& p : result.interpolation_points) p += global_offset;
+  } else {
+    result.interpolation_points =
+        gather_representatives(*comm, points, kept, result.assignment,
+                               result.centroids, cell, global_offset);
+  }
   std::sort(result.interpolation_points.begin(),
             result.interpolation_points.end());
   static obs::Counter& iterations = obs::counter("kmeans.iterations");

@@ -9,16 +9,17 @@
 //  - weight-aware seeding: centroids start from high-weight points
 //    (greedy k-means++-style D² sampling by default, pure top-weight and
 //    uniform-random seeding available for the ablation bench);
-//  - weighted Lloyd updates with empty-cluster reseeding (a distributed
-//    solve keeps an empty cluster's centroid instead: reseeding would
-//    need another round of agreement).
+//  - weighted Lloyd updates with empty-cluster reseeding (a solve across
+//    two or more ranks keeps an empty cluster's centroid instead:
+//    reseeding would need another round of agreement).
 //
 // The grid points may be row-block partitioned over the ranks of a
 // communicator (paper §4.2, last paragraph). Each iteration then runs the
 // local assignment step and combines the per-cluster weighted coordinate
 // sums and weights with a single Allreduce; the reduction replicates the
-// updated centroids. Without a communicator the caller holds every point,
-// which is the one-rank case.
+// updated centroids. Without a communicator the caller holds every point;
+// a one-rank communicator is that same serial case, every option included,
+// and only adds its no-op collectives.
 #pragma once
 
 #include <functional>
@@ -45,9 +46,9 @@ struct KMeansOptions {
   /// clustering (paper: "remove the points with weights less than the
   /// threshold"). 0 keeps everything.
   Real weight_threshold = 1e-6;
-  /// With a communicator only kTopWeight is honoured: the candidates are
-  /// allgathered so every rank seeds identically without drawing from an
-  /// Rng.
+  /// Across two or more ranks only kTopWeight is honoured: the candidates
+  /// are allgathered so every rank seeds identically without drawing from
+  /// an Rng.
   Seeding seeding = Seeding::kWeightedKpp;
   unsigned seed = 7;
   /// When set, point-to-centroid distances use the minimum-image
@@ -72,9 +73,9 @@ struct KMeansOptions {
   /// A resumed run is bit-identical to an uninterrupted one: the first
   /// resumed iteration full-scans every point (no Elkan bounds survive
   /// the restart), which the PR-4 pruning invariant makes exact, and the
-  /// serialized Rng stream replays any later empty-cluster reseeds. With
-  /// a communicator the state is replicated, so the sink typically writes
-  /// on rank 0 only, and every rank is handed the same `restore`.
+  /// serialized Rng stream replays any later empty-cluster reseeds. Across
+  /// ranks the state is replicated, so the sink typically writes on rank 0
+  /// only, and every rank is handed the same `restore`.
   Index checkpoint_interval = 0;
   std::function<void(const ft::KMeansState&)> checkpoint_sink;
   const ft::KMeansState* restore = nullptr;
@@ -96,8 +97,10 @@ struct KMeansResult {
 /// Clusters `points` with `weights` into k clusters and returns one
 /// representative grid point per cluster. Without `comm`, `points` are
 /// all N_r grid positions. With `comm` they are this rank's block, whose
-/// first point has global index `global_offset`; the call is collective
-/// and no OpenMP team is formed inside it.
+/// first point has global index `global_offset`, and the call is
+/// collective. On a one-rank communicator it is the serial call: same
+/// seeding, reseeding, OpenMP team and result, global indices shifted by
+/// `global_offset`. Across two or more ranks no OpenMP team is formed.
 KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
                              const std::vector<Real>& weights, Index k,
                              const KMeansOptions& options = {},

@@ -14,8 +14,10 @@
 // Spans are also the one phase clock: while a PhaseScope is alive on a
 // thread, every Span closed on that thread adds its wall duration to the
 // scope's PhaseAccumulator, whether tracing is on or off. The Casida
-// drivers fill DriverResult::profiler and DistDriverStats::phases this
-// way, so a phase second in a result and in a trace is the same second.
+// pipeline fills DistDriverStats::phases this way, and DriverResult::
+// profiler takes its six Fig-8 phases for kNaive/kImplicit (the pipeline
+// on one rank) or collects every span of an ablation version's solve; so
+// a phase second in a result and in a trace is the same second.
 //
 // Enabling:
 //   LRT_TRACE=path.json   enable tracing; write/merge a Chrome trace at

@@ -32,8 +32,6 @@ inline constexpr const char* kFtCheckpointLoad = "ft.checkpoint.load";  // check
 inline constexpr const char* kKmeansLloyd = "kmeans.lloyd";  // weighted K-Means Lloyd loop (any rank count)
 inline constexpr const char* kLaLobpcg = "la.lobpcg";  // serial LOBPCG solve
 inline constexpr const char* kParDistLobpcg = "par.dist_lobpcg";  // distributed LOBPCG solve
-inline constexpr const char* kParGramReduceMonolithic = "par.gram_reduce.monolithic";  // Gram reduction, single allreduce
-inline constexpr const char* kParGramReducePipelined = "par.gram_reduce.pipelined";  // Gram reduction, pipelined allreduce
 inline constexpr const char* kParTranspose = "par.transpose";  // pencil transpose (alltoallv)
 inline constexpr const char* kBarrier = "barrier";  // dissemination barrier
 inline constexpr const char* kBcast = "bcast";  // binomial-tree broadcast
@@ -90,8 +88,6 @@ inline constexpr const char* kAll[] = {
     kKmeansLloyd,
     kLaLobpcg,
     kParDistLobpcg,
-    kParGramReduceMonolithic,
-    kParGramReducePipelined,
     kParTranspose,
     kBarrier,
     kBcast,

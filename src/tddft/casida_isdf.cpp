@@ -14,8 +14,6 @@ la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
 la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,
                                       const isdf::IsdfResult& isdf_result,
                                       const HxcKernel& kernel) {
-  LRT_CHECK(!isdf_result.c.empty(),
-            "build_hamiltonian_isdf needs the explicit coefficient matrix");
   const la::RealMatrix m = build_kernel_projection(isdf_result, kernel);
 
   const obs::Span span(obs::phase::kGemm);

@@ -16,8 +16,7 @@ la::RealMatrix build_kernel_projection(const isdf::IsdfResult& isdf_result,
                                        const HxcKernel& kernel);
 
 /// Explicit H = D + 2 Cᵀ M C (paper Eq 6) for versions (2)/(3)/(4) of
-/// Table 4. Requires isdf_result.c (build_coefficients = true). Spans:
-/// "fft", "gemm".
+/// Table 4. Spans: "fft", "gemm".
 la::RealMatrix build_hamiltonian_isdf(const CasidaProblem& problem,
                                       const isdf::IsdfResult& isdf_result,
                                       const HxcKernel& kernel);

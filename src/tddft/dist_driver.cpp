@@ -19,14 +19,6 @@ la::RealConstView my_rows(la::RealConstView full, const par::BlockPartition& par
   return full.rows_block(part.offset(rank), part.count(rank));
 }
 
-/// kernel_projection's reduction: chunk rows for the pipelined reduce to
-/// the row owners (Algorithm 1 lines 7-8, Fig 5), or 0 for one allreduce.
-Index reduce_chunk(const DistDriverOptions& options) {
-  if (!options.pipelined_reduce) return 0;
-  LRT_CHECK(options.pipeline_chunk >= 1, "pipeline_chunk must be positive");
-  return options.pipeline_chunk;
-}
-
 /// Serializes the replicated K-Means phase result for the phase-granular
 /// restart of the implicit path (docs/RESILIENCE.md): centroids and
 /// interpolation points pin the downstream sampling, objective and the
@@ -88,9 +80,11 @@ kmeans::KMeansResult load_driver_kmeans(const std::string& path,
   return km;
 }
 
-std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
-                              const HxcKernel& kernel,
-                              const DistDriverOptions& options) {
+/// Both solves return the energies, this rank's eigenvector rows and the
+/// LOBPCG iterations; the caller adds the timings.
+DistDriverStats solve_naive(par::Comm& comm, const CasidaProblem& problem,
+                            const HxcKernel& kernel,
+                            const DriverOptions& options) {
   const int me = comm.rank();
   const Index nr = problem.nr();
   const Index ncv = problem.ncv();
@@ -108,7 +102,7 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
                                         my_rows(problem.psi_c.view(), rows, me));
     }
     h = casida_hamiltonian(
-        kernel_projection(kernel, p_loc.view(), &comm, reduce_chunk(options)),
+        kernel_projection(kernel, p_loc.view(), &comm, options.pipeline_chunk),
         energy_differences(problem));
   }
 
@@ -120,14 +114,17 @@ std::vector<Real> solve_naive(par::Comm& comm, const CasidaProblem& problem,
   h_dist.fill_global([&](Index i, Index j) { return h(i, j); });
   par::DistEigResult eig = par::dist_syev(comm, h_dist);
 
-  return std::vector<Real>(
-      eig.values.begin(), eig.values.begin() + options.num_states);
+  DistDriverStats solution;
+  solution.energies.assign(eig.values.begin(),
+                           eig.values.begin() + options.num_states);
+  solution.wavefunctions = la::to_matrix<Real>(
+      eig.vectors.local().view().cols_block(0, options.num_states));
+  return solution;
 }
 
-std::vector<Real> solve_implicit(par::Comm& comm,
-                                 const CasidaProblem& problem,
-                                 const HxcKernel& kernel,
-                                 const DistDriverOptions& options) {
+DistDriverStats solve_implicit(par::Comm& comm, const CasidaProblem& problem,
+                               const HxcKernel& kernel,
+                               const DriverOptions& options) {
   const int me = comm.rank();
   const Index nr = problem.nr();
   const Index nv = problem.nv();
@@ -162,7 +159,11 @@ std::vector<Real> solve_implicit(par::Comm& comm,
       points[static_cast<std::size_t>(i)] =
           problem.grid.position(my_offset + i);
     }
-    km = kmeans::weighted_kmeans(points, weights, nmu, options.kmeans, &comm,
+    // Weighted k-means++ at one rank; across ranks the top-weight seeds,
+    // the only ones that need no Rng agreement.
+    kmeans::KMeansOptions km_options;
+    if (comm.size() > 1) km_options.seeding = kmeans::Seeding::kTopWeight;
+    km = kmeans::weighted_kmeans(points, weights, nmu, km_options, &comm,
                                  my_offset);
   }
   kmeans_span.end();
@@ -204,7 +205,7 @@ std::vector<Real> solve_implicit(par::Comm& comm,
                                               psi_v_mu.view(), psi_c_mu.view());
     }
     m_mat = kernel_projection(kernel, theta_loc.view(), &comm,
-                              reduce_chunk(options));
+                              options.pipeline_chunk);
   }
 
   // Distributed implicit LOBPCG (Algorithm 2): the excitation vectors are
@@ -216,17 +217,22 @@ std::vector<Real> solve_implicit(par::Comm& comm,
   TddftEigenOptions eig = options.eigen;
   eig.num_states = options.num_states;
   la::LobpcgResult sol = solve_casida_lobpcg(h, eig);
-  return std::move(sol.eigenvalues);
+  DistDriverStats solution;
+  solution.energies = std::move(sol.eigenvalues);
+  solution.wavefunctions = std::move(sol.eigenvectors);
+  solution.eigen_iterations = sol.iterations;
+  return solution;
 }
 
 }  // namespace
 
 DistDriverStats solve_casida_distributed(par::Comm& comm,
                                          const CasidaProblem& problem,
-                                         const DistDriverOptions& options) {
+                                         const DriverOptions& options) {
   LRT_CHECK(options.version == Version::kNaive ||
                 options.version == Version::kImplicit,
             "distributed driver supports kNaive and kImplicit");
+  LRT_CHECK(options.pipeline_chunk >= 0, "pipeline_chunk must not be negative");
 
   comm.reset_comm_seconds();
   obs::PhaseAccumulator phase_seconds;
@@ -238,13 +244,10 @@ DistDriverStats solve_casida_distributed(par::Comm& comm,
   const HxcKernel kernel(problem.grid, gvectors, problem.ground_density,
                          options.include_xc);
 
-  std::vector<Real> energies =
+  DistDriverStats stats =
       (options.version == Version::kNaive)
           ? solve_naive(comm, problem, kernel, options)
           : solve_implicit(comm, problem, kernel, options);
-
-  DistDriverStats stats;
-  stats.energies = std::move(energies);
   // Busy = this rank's actual CPU cycles (excludes both blocking waits and
   // time descheduled in favour of other rank-threads; DESIGN.md). Read
   // before the wall clock, so the CPU interval nests inside the wall one.

@@ -17,6 +17,11 @@
 //    dense eigensolver (Fig 3c); the ISDF paths run distributed K-Means
 //    and keep the small factored Hamiltonian replicated for LOBPCG.
 //
+// One rank is the serial case: solve_casida runs kNaive and kImplicit
+// through this driver under par::run(1). K-Means then seeds with weighted
+// k-means++, whose spread-out points keep the Θ fit well conditioned;
+// across ranks it seeds from the top-weight points, which need no Rng.
+//
 // Each rank opens one obs::Span per Figure-8 phase region (kmeans / fft /
 // mpi / gemm / diag / pair_product) under an obs::PhaseScope, so the
 // phase seconds are wall seconds, from spans — the same seconds a trace
@@ -27,42 +32,21 @@
 
 #include <string>
 
-#include "kmeans/kmeans.hpp"
 #include "par/comm.hpp"
 #include "tddft/driver.hpp"
 
 namespace lrt::tddft {
 
-struct DistDriverOptions {
-  /// kNaive or kImplicit (the end points of Table 4; the intermediate
-  /// versions only differ serially).
-  Version version = Version::kImplicit;
-  Index num_states = 3;
-  Index nmu = 0;
-  Real nmu_ratio = 6.0;
-  bool include_xc = true;
-  TddftEigenOptions eigen;
-  /// Distributed K-Means honours only top-weight seeding.
-  kmeans::KMeansOptions kmeans = [] {
-    kmeans::KMeansOptions top_weight;
-    top_weight.seeding = kmeans::Seeding::kTopWeight;
-    return top_weight;
-  }();
-  /// Vhxc / M reduction: chunks of pipeline_chunk rows reduced to their
-  /// row owners, then an allgatherv (true), vs one Allreduce (false).
-  bool pipelined_reduce = false;
-  Index pipeline_chunk = 64;
-  /// Phase-granular restart (docs/RESILIENCE.md): when non-empty and the
-  /// file exists, the implicit path loads the distributed K-Means result
-  /// from it and skips the whole K-Means phase; otherwise rank 0 writes
-  /// the result there after the phase completes. Must be uniform across
-  /// ranks (like every other option — the existence check is a branch
-  /// around collectives).
-  std::string checkpoint_path;
-};
+/// The older name of DriverOptions.
+using DistDriverOptions = DriverOptions;
 
 struct DistDriverStats {
   std::vector<Real> energies;   ///< replicated on every rank
+  /// This rank's rows of the Ncv x k eigenvectors: its valence block of
+  /// pairs (kImplicit) or its row block of H (kNaive); every row at one
+  /// rank.
+  la::RealMatrix wavefunctions;
+  Index eigen_iterations = 0;   ///< Casida LOBPCG iterations (0 for kNaive)
   double wall_seconds = 0;      ///< max over ranks
   double comm_seconds = 0;      ///< max over ranks (blocked in comm calls)
   /// Max over ranks of the rank thread's CPU seconds: the only CPU
@@ -73,8 +57,10 @@ struct DistDriverStats {
   std::vector<std::pair<std::string, double>> phases;
 };
 
+/// Collective. `options.version` must be kNaive or kImplicit (the end
+/// points of Table 4; the intermediate versions only differ serially).
 DistDriverStats solve_casida_distributed(par::Comm& comm,
                                          const CasidaProblem& problem,
-                                         const DistDriverOptions& options);
+                                         const DriverOptions& options);
 
 }  // namespace lrt::tddft

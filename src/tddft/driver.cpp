@@ -7,6 +7,8 @@
 #include "common/timer.hpp"
 #include "obs/obs.hpp"
 #include "obs/phase_registry.hpp"
+#include "par/runtime.hpp"
+#include "tddft/dist_driver.hpp"
 
 namespace lrt::tddft {
 namespace {
@@ -30,6 +32,44 @@ double memory_estimate(Version version, Index nr, Index nv, Index nc,
       return w * (double(nmu) * nmu + double(nmu) * (double(nv) + nc));
   }
   return 0;
+}
+
+/// The ablation versions (2)-(4): ISDF, then an explicit H solved by SYEV
+/// or LOBPCG. The profiler collects every span closed on this thread.
+void solve_ablation(const CasidaProblem& problem, const DriverOptions& options,
+                    DriverResult& result) {
+  const obs::PhaseScope phase_clock(result.profiler);
+  const grid::GVectors gvectors(problem.grid);
+  const HxcKernel kernel(problem.grid, gvectors, problem.ground_density,
+                         options.include_xc);
+
+  isdf::IsdfOptions isdf_opts;
+  isdf_opts.nmu = derive_nmu(options.nmu, options.nmu_ratio, problem);
+  isdf_opts.method = (options.version == Version::kQrcpIsdf)
+                         ? isdf::PointMethod::kQrcp
+                         : isdf::PointMethod::kKmeans;
+  const isdf::IsdfResult decomposition = isdf_decompose(
+      problem.grid, problem.psi_v.view(), problem.psi_c.view(), isdf_opts);
+  result.nmu_used = decomposition.nmu();
+
+  const la::RealMatrix h =
+      build_hamiltonian_isdf(problem, decomposition, kernel);
+  if (options.version == Version::kKmeansIsdfLobpcg) {
+    TddftEigenOptions eig = options.eigen;
+    eig.num_states = options.num_states;
+    la::LobpcgResult sol;
+    {
+      const obs::Span span(obs::phase::kDiag);
+      sol = solve_casida_lobpcg_dense(h, energy_differences(problem), eig);
+    }
+    result.energies = std::move(sol.eigenvalues);
+    result.wavefunctions = std::move(sol.eigenvectors);
+    result.eigen_iterations = sol.iterations;
+  } else {
+    CasidaSolution sol = diagonalize_dense(h, options.num_states);
+    result.energies = std::move(sol.energies);
+    result.wavefunctions = std::move(sol.wavefunctions);
+  }
 }
 
 }  // namespace
@@ -68,75 +108,27 @@ DriverResult solve_casida(const CasidaProblem& problem,
             "bad num_states " << options.num_states);
 
   DriverResult result;
-  const obs::PhaseScope phase_clock(result.profiler);
   Timer total;
-
-  const grid::GVectors gvectors(problem.grid);
-  const HxcKernel kernel(problem.grid, gvectors, problem.ground_density,
-                         options.include_xc);
-
   const Version version = options.version;
-  if (version == Version::kNaive) {
-    const la::RealMatrix h = build_hamiltonian_naive(problem, kernel);
-    CasidaSolution sol = diagonalize_dense(h, options.num_states);
-    result.energies = std::move(sol.energies);
-    result.wavefunctions = std::move(sol.wavefunctions);
-    result.memory_bytes_estimate = memory_estimate(
-        version, problem.nr(), problem.nv(), problem.nc(), 0);
-    result.seconds_total = total.seconds();
-    return result;
-  }
-
-  // All ISDF versions: decompose first.
-  isdf::IsdfOptions isdf_opts = options.isdf;
-  isdf_opts.nmu = derive_nmu(options.nmu, options.nmu_ratio, problem);
-  isdf_opts.method = (version == Version::kQrcpIsdf)
-                         ? isdf::PointMethod::kQrcp
-                         : isdf::PointMethod::kKmeans;
-  isdf_opts.build_coefficients = version != Version::kImplicit;
-  const isdf::IsdfResult decomposition = isdf_decompose(
-      problem.grid, problem.psi_v.view(), problem.psi_c.view(), isdf_opts);
-  result.nmu_used = decomposition.nmu();
-
-  if (version == Version::kImplicit) {
-    la::RealMatrix m = build_kernel_projection(decomposition, kernel);
-    const ImplicitHamiltonian h = make_implicit_hamiltonian(
-        energy_differences(problem), decomposition, std::move(m));
-    TddftEigenOptions eig = options.eigen;
-    eig.num_states = options.num_states;
-    const obs::Span span(obs::phase::kDiag);
-    if (eig.method == EigenMethod::kDavidson) {
-      la::DavidsonResult sol = solve_casida_davidson(h, eig);
-      result.energies = std::move(sol.eigenvalues);
-      result.wavefunctions = std::move(sol.eigenvectors);
-      result.eigen_iterations = sol.iterations;
-    } else {
-      la::LobpcgResult sol = solve_casida_lobpcg(h, eig);
-      result.energies = std::move(sol.eigenvalues);
-      result.wavefunctions = std::move(sol.eigenvectors);
-      result.eigen_iterations = sol.iterations;
+  if (version == Version::kNaive || version == Version::kImplicit) {
+    // The paper's pipeline on one rank: par::run(1) runs inline on this
+    // thread, and every collective is a no-op.
+    DistDriverStats stats;
+    par::run(1, [&](par::Comm& comm) {
+      stats = solve_casida_distributed(comm, problem, options);
+    });
+    result.energies = std::move(stats.energies);
+    result.wavefunctions = std::move(stats.wavefunctions);
+    result.eigen_iterations = stats.eigen_iterations;
+    for (const auto& [phase, seconds] : stats.phases) {
+      result.profiler.add(phase, seconds);
+    }
+    if (version == Version::kImplicit) {
+      result.nmu_used = derive_nmu(options.nmu, options.nmu_ratio, problem);
     }
   } else {
-    const la::RealMatrix h =
-        build_hamiltonian_isdf(problem, decomposition, kernel);
-    if (version == Version::kKmeansIsdfLobpcg) {
-      TddftEigenOptions eig = options.eigen;
-      eig.num_states = options.num_states;
-      la::LobpcgResult sol;
-      {
-        const obs::Span span(obs::phase::kDiag);
-        sol = solve_casida_lobpcg_dense(h, energy_differences(problem), eig);
-      }
-      result.energies = std::move(sol.eigenvalues);
-      result.wavefunctions = std::move(sol.eigenvectors);
-      result.eigen_iterations = sol.iterations;
-    } else {
-      CasidaSolution sol = diagonalize_dense(h, options.num_states);
-      result.energies = std::move(sol.energies);
-      result.wavefunctions = std::move(sol.wavefunctions);
-    }
+    solve_ablation(problem, options, result);
   }
-
   result.memory_bytes_estimate =
       memory_estimate(version, problem.nr(), problem.nv(), problem.nc(),
                       result.nmu_used);

@@ -6,9 +6,14 @@
 //   (4) kKmeansIsdfLobpcg   — K-Means ISDF + explicit H + LOBPCG
 //   (5) kImplicit           — K-Means ISDF + implicit factored H + LOBPCG
 //
-// The driver also estimates the per-version memory footprint with the
-// closed forms of Table 4 so the benches can report both axes.
+// The end points (1) and (5) are the paper's §5 pipeline run on a one-rank
+// communicator (solve_casida_distributed under par::run(1)); the ablation
+// versions (2)-(4) build H explicitly. The driver also estimates the
+// per-version memory footprint with the closed forms of Table 4 so the
+// benches can report both axes.
 #pragma once
+
+#include <string>
 
 #include "dft/scf.hpp"
 #include "dft/synthetic.hpp"
@@ -28,6 +33,8 @@ enum class Version {
 
 const char* version_name(Version version);
 
+/// Options of both drivers (solve_casida and solve_casida_distributed).
+/// Every field must be uniform across ranks.
 struct DriverOptions {
   Version version = Version::kImplicit;
   Index num_states = 3;  ///< excitation energies to report (k)
@@ -37,15 +44,25 @@ struct DriverOptions {
   Real nmu_ratio = 6.0;
   bool include_xc = true;
   TddftEigenOptions eigen;
-  isdf::IsdfOptions isdf;  ///< method field is overridden by `version`
+  /// Vhxc / M reduction of kNaive and kImplicit (kernel_projection): 0 is
+  /// one allreduce; N > 0 reduces chunks of N rows to their row owners,
+  /// then allgathers them (paper §5.3, Fig 4-5).
+  Index pipeline_chunk = 0;
+  /// Phase-granular restart of kImplicit (docs/RESILIENCE.md): when
+  /// non-empty and the file exists, the K-Means result is loaded from it
+  /// and the whole K-Means phase is skipped; otherwise rank 0 writes the
+  /// result there once the phase completes.
+  std::string checkpoint_path;
 };
 
 struct DriverResult {
   std::vector<Real> energies;    ///< lowest k excitation energies
   la::RealMatrix wavefunctions;  ///< Ncv x k
-  /// Wall seconds of every span the solve closed on the calling thread,
-  /// by name: isdf.select_points, isdf.interp_vectors, pair_product,
-  /// fft, gemm, diag among them.
+  /// Phase wall seconds, from spans. kNaive and kImplicit: the six Fig-8
+  /// phases pair_product, kmeans, fft, mpi, gemm and diag. The ablation
+  /// versions: every span the solve closed on the calling thread, by
+  /// name: isdf.select_points, isdf.interp_vectors, pair_product, fft,
+  /// gemm and diag among them.
   obs::PhaseAccumulator profiler;
   double seconds_total = 0;
   Index nmu_used = 0;

@@ -13,17 +13,14 @@
 
 namespace lrt::tddft {
 
-/// Iterative eigensolver family (paper §1 cites both Davidson [8] and
-/// LOBPCG [11]; the implementation uses LOBPCG, Davidson is provided for
-/// the ablation bench).
-enum class EigenMethod { kLobpcg, kDavidson };
-
+/// Options of the iterative eigensolves. Paper §1 cites both Davidson [8]
+/// and LOBPCG [11]; the drivers use LOBPCG, and solve_casida_davidson
+/// serves the ablation bench.
 struct TddftEigenOptions {
   Index num_states = 3;
   Index max_iterations = 300;
   Real tolerance = 1e-8;
   unsigned seed = 7;
-  EigenMethod method = EigenMethod::kLobpcg;
 };
 
 /// Initial guess: unit vectors on the k smallest energy-difference pairs

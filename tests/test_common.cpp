@@ -73,13 +73,25 @@ TEST(Rng, NormalMomentsRoughlyStandard) {
 
 TEST(Cli, ParsesValuesAndDefaults) {
   CliParser cli("test");
-  cli.add("n", "4", "count").add("x", "1.5", "value").add("flag", "false",
-                                                          "bool");
-  const char* argv[] = {"prog", "--n", "7", "--flag", "--x=2.25"};
-  cli.parse(5, argv);
+  cli.add("n", "4", "count").add("x", "1.5", "value").add("y", "3", "value");
+  const char* argv[] = {"prog", "--n", "7", "--x=2.25"};
+  cli.parse(4, argv);
   EXPECT_EQ(cli.get_index("n"), 7);
   EXPECT_DOUBLE_EQ(cli.get_real("x"), 2.25);
-  EXPECT_TRUE(cli.get_bool("flag"));
+  EXPECT_EQ(cli.get_index("y"), 3);
+}
+
+TEST(Cli, OptionWithoutValueThrowsNamingIt) {
+  CliParser cli("test");
+  cli.add("n", "4", "count");
+  const char* argv[] = {"prog", "--n"};
+  try {
+    cli.parse(2, argv);
+    FAIL() << "parse accepted --n without a value";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, RejectsUnknownOption) {

@@ -425,11 +425,10 @@ TEST(DriverRestart, SecondRunSkipsKmeansPhaseAndReproducesEnergies) {
   const std::string path = temp_path("driver");
   std::remove(path.c_str());
 
-  tddft::DistDriverOptions options;
+  tddft::DriverOptions options;
   options.version = tddft::Version::kImplicit;
   options.num_states = 2;
   options.nmu = 12;
-  options.kmeans.seeding = kmeans::Seeding::kTopWeight;
   options.checkpoint_path = path;
 
   obs::Counter& lloyd = obs::counter("kmeans.iterations");
@@ -458,6 +457,38 @@ TEST(DriverRestart, SecondRunSkipsKmeansPhaseAndReproducesEnergies) {
   for (std::size_t j = 0; j < first.size(); ++j) {
     EXPECT_EQ(second[j], first[j]);
   }
+  std::remove(path.c_str());
+}
+
+TEST(DriverRestart, SerialImplicitRunRestartsFromTheKmeansCheckpoint) {
+  // solve_casida(kImplicit) is the pipeline on one rank, so the same
+  // checkpoint_path skips its K-Means phase on the second run.
+  const grid::RealSpaceGrid g(grid::UnitCell::cubic(7.0), {8, 8, 8});
+  dft::SyntheticOptions sopts;
+  sopts.num_centers = 8;
+  sopts.seed = 33;
+  const tddft::CasidaProblem problem = tddft::make_problem_from_synthetic(
+      g, dft::make_synthetic_orbitals(g, 4, 3, sopts));
+
+  const std::string path = temp_path("serial_driver");
+  std::remove(path.c_str());
+  tddft::DriverOptions options;
+  options.version = tddft::Version::kImplicit;
+  options.num_states = 2;
+  options.nmu = 12;
+  options.checkpoint_path = path;
+
+  obs::Counter& lloyd = obs::counter("kmeans.iterations");
+  const long long l0 = lloyd.value();
+  const tddft::DriverResult first = tddft::solve_casida(problem, options);
+  EXPECT_GT(lloyd.value() - l0, 0);
+  ASSERT_TRUE(ft::checkpoint_exists(path));
+
+  const long long l1 = lloyd.value();
+  const tddft::DriverResult second = tddft::solve_casida(problem, options);
+  EXPECT_EQ(lloyd.value() - l1, 0);
+  EXPECT_EQ(second.energies, first.energies);
+  EXPECT_EQ(second.eigen_iterations, first.eigen_iterations);
   std::remove(path.c_str());
 }
 

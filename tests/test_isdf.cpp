@@ -261,15 +261,5 @@ TEST(Isdf, DecomposeFillsAllFactors) {
   EXPECT_GT(profiler.total("isdf.interp_vectors"), 0.0);
 }
 
-TEST(Isdf, ImplicitModeSkipsCoefficientMatrix) {
-  OrbitalFixture f;
-  IsdfOptions opts;
-  opts.nmu = 8;
-  opts.build_coefficients = false;
-  const IsdfResult r = isdf_decompose(f.grid, f.v(), f.c(), opts);
-  EXPECT_TRUE(r.c.empty());
-  EXPECT_EQ(r.psi_v_mu.rows(), 8);
-}
-
 }  // namespace
 }  // namespace lrt::isdf

@@ -2,11 +2,15 @@
 // representative-point properties, and the distributed variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 
+#include "common/random.hpp"
 #include "kmeans/kmeans.hpp"
 #include "par/layout.hpp"
+#include "par/runtime.hpp"
 
 namespace lrt::kmeans {
 namespace {
@@ -169,6 +173,74 @@ TEST(PairWeights, MatchesDefinition) {
   EXPECT_DOUBLE_EQ(w[1], 1 * 16);
 }
 
+/// Every field of two clusterings, and the Rng state each handed to its
+/// first checkpoint, compared bit for bit.
+void expect_same_clustering(const KMeansResult& a, const KMeansResult& b,
+                            const ft::KMeansState& ck_a,
+                            const ft::KMeansState& ck_b) {
+  EXPECT_EQ(a.centroids, b.centroids);
+  EXPECT_EQ(a.interpolation_points, b.interpolation_points);
+  EXPECT_EQ(a.kept_points, b.kept_points);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.num_pruned, b.num_pruned);
+  EXPECT_TRUE(ck_a.has_rng && ck_b.has_rng);
+  EXPECT_TRUE(std::equal(std::begin(ck_a.rng.word), std::end(ck_a.rng.word),
+                         std::begin(ck_b.rng.word)));
+}
+
+TEST(WeightedKmeans, OneRankCommunicatorIsTheSerialCase) {
+  // Under par::run(1) every seeding runs the serial path: same seeds, same
+  // OpenMP team, same empty-cluster reseeds from the same Rng stream.
+  BlobFixture blobs;
+  // Two points share each of the two heaviest positions, so top-weight
+  // seeding puts centroids 0 and 1 on one spot: cluster 1 starts empty
+  // and is reseeded from the Rng.
+  const std::vector<grid::Vec3> twin_points = {
+      {0, 0, 0}, {0, 0, 0}, {5, 5, 5}, {5, 5, 5}, {9, 1, 1}, {1, 9, 1}};
+  const std::vector<Real> twin_weights = {6, 5, 4, 3, 2, 1};
+  struct Case {
+    const std::vector<grid::Vec3>* points;
+    const std::vector<Real>* weights;
+    Index k;
+  };
+  const Case cases[] = {{&blobs.points, &blobs.weights, 6},
+                        {&twin_points, &twin_weights, 3}};
+  for (const Seeding seeding : {Seeding::kWeightedKpp, Seeding::kTopWeight,
+                                Seeding::kUniformRandom}) {
+    for (const Case& c : cases) {
+      ft::KMeansState serial_ck;
+      ft::KMeansState one_rank_ck;
+      KMeansOptions opts;
+      opts.seeding = seeding;
+      opts.checkpoint_interval = 1;
+      opts.checkpoint_sink = [&](const ft::KMeansState& ck) {
+        if (ck.iteration == 1) serial_ck = ck;
+      };
+      const KMeansResult serial =
+          weighted_kmeans(*c.points, *c.weights, c.k, opts);
+      opts.checkpoint_sink = [&](const ft::KMeansState& ck) {
+        if (ck.iteration == 1) one_rank_ck = ck;
+      };
+      KMeansResult one_rank;
+      par::run(1, [&](par::Comm& comm) {
+        one_rank = weighted_kmeans(*c.points, *c.weights, c.k, opts, &comm);
+      });
+      SCOPED_TRACE(testing::Message() << "seeding " << static_cast<int>(seeding)
+                                      << ", k " << c.k);
+      expect_same_clustering(serial, one_rank, serial_ck, one_rank_ck);
+      if (seeding == Seeding::kTopWeight && c.k == 3) {
+        // Top-weight seeding draws nothing, so a moved stream after the
+        // first iteration is the reseed.
+        const RngState fresh = Rng(opts.seed).state();
+        EXPECT_FALSE(std::equal(std::begin(fresh.word), std::end(fresh.word),
+                                std::begin(serial_ck.rng.word)));
+      }
+    }
+  }
+}
+
 class DistKmeansSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistKmeansSweep, MatchesSerialObjectiveScale) {
@@ -221,13 +293,15 @@ TEST_P(DistKmeansSweep, SingleRankMatchesSerialUpToObjectiveRoundoff) {
         weighted_kmeans(f.points, f.weights, 5, opts, &comm);
     EXPECT_EQ(dist.interpolation_points, serial.interpolation_points);
     EXPECT_EQ(dist.iterations, serial.iterations);
-    // Serial K-Means sums its objective in per-OpenMP-thread partials, so
-    // the last bits depend on the thread count; the clustering does not.
-    EXPECT_NEAR(dist.objective, serial.objective, 1e-12 * serial.objective);
+    // A one-rank communicator runs the serial body with the same OpenMP
+    // team, so even the per-thread objective partials agree.
+    EXPECT_EQ(dist.objective, serial.objective);
   });
 }
 
 TEST_P(DistKmeansSweep, RejectsSeedingsThatNeedAnRng) {
+  // Only p >= 2 rejects them: a one-rank communicator is the serial case,
+  // whose Rng draws need no agreement across ranks.
   const int p = GetParam();
   BlobFixture f;
   for (const Seeding seeding :
@@ -235,8 +309,12 @@ TEST_P(DistKmeansSweep, RejectsSeedingsThatNeedAnRng) {
     KMeansOptions opts;
     opts.seeding = seeding;
     par::run(p, [&](par::Comm& comm) {
-      EXPECT_THROW(weighted_kmeans(f.points, f.weights, 4, opts, &comm),
-                   Error);
+      if (p == 1) {
+        EXPECT_NO_THROW(weighted_kmeans(f.points, f.weights, 4, opts, &comm));
+      } else {
+        EXPECT_THROW(weighted_kmeans(f.points, f.weights, 4, opts, &comm),
+                     Error);
+      }
     });
   }
 }

@@ -77,7 +77,7 @@ TEST(MemoryFootprint, DistributedImplicitSolveStaysWithinStreamedWorkingSet) {
   so.seed = 5;
   const CasidaProblem problem =
       make_problem_from_synthetic(g, dft::make_synthetic_orbitals(g, 16, 12, so));
-  DistDriverOptions options;
+  DriverOptions options;
   options.version = Version::kImplicit;
   options.num_states = 3;
   const Index nmu = derive_nmu(options.nmu, options.nmu_ratio, problem);

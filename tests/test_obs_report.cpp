@@ -122,11 +122,10 @@ TEST(CriticalPath, Fig8SmokeAttributionMatchesWallTimeWithinOnePercent) {
   TracingFixture tracing(true);
   const tddft::CasidaProblem problem = make_fig8_problem();
   par::run(8, [&](par::Comm& comm) {
-    tddft::DistDriverOptions opts;
+    tddft::DriverOptions opts;
     opts.version = tddft::Version::kImplicit;
     opts.num_states = 2;
     opts.nmu = 12;
-    opts.kmeans.seeding = kmeans::Seeding::kTopWeight;
     tddft::solve_casida_distributed(comm, problem, opts);
   });
 

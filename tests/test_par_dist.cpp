@@ -1,13 +1,11 @@
 // Distributed matrix machinery: scatter/gather, redistribute (pdgemr2d
-// analog), row<->column transposes, the pipelined reduction, and the
-// distributed eigensolver.
+// analog), row<->column transposes and the distributed eigensolver.
 #include <gtest/gtest.h>
 
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "par/disteig.hpp"
 #include "par/distmatrix.hpp"
-#include "par/pipeline.hpp"
 #include "par/transpose.hpp"
 
 namespace lrt::par {
@@ -125,35 +123,6 @@ TEST_P(DistSweep, RowColTransposeRoundTrip) {
 
     const la::RealConstView back = exchange.to_rows(0, my_cols);
     EXPECT_LT(la::max_abs_diff(back, my_rows), 1e-14);
-  });
-}
-
-TEST_P(DistSweep, PipelinedReduceMatchesMonolithic) {
-  const int p = GetParam();
-  run(p, [p](Comm& comm) {
-    const Index m = 24, k = 9, n = 6;
-    Rng rng(13);
-    const la::RealMatrix a = la::RealMatrix::random_normal(m, k, rng);
-    const la::RealMatrix b = la::RealMatrix::random_normal(m, n, rng);
-    const BlockPartition rows(m, p);
-    const auto a_loc = a.view().rows_block(rows.offset(comm.rank()),
-                                           rows.count(comm.rank()));
-    const auto b_loc = b.view().rows_block(rows.offset(comm.rank()),
-                                           rows.count(comm.rank()));
-
-    const la::RealMatrix mono = gram_reduce_monolithic(comm, a_loc, b_loc);
-    const PipelineResult piped =
-        gram_reduce_pipelined(comm, a_loc, b_loc, /*chunk_rows=*/2);
-
-    const BlockPartition out(k, p);
-    EXPECT_EQ(piped.row_offset, out.offset(comm.rank()));
-    EXPECT_EQ(piped.local_rows.rows(), out.count(comm.rank()));
-    for (Index i = 0; i < piped.local_rows.rows(); ++i) {
-      for (Index j = 0; j < n; ++j) {
-        EXPECT_NEAR(piped.local_rows(i, j), mono(piped.row_offset + i, j),
-                    1e-10);
-      }
-    }
   });
 }
 

@@ -31,7 +31,7 @@ TEST_P(DistDriverSweep, NaiveMatchesSerialNaive) {
   const DriverResult reference = solve_casida(problem, serial);
 
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kNaive;
     opts.num_states = 3;
     const DistDriverStats stats =
@@ -57,11 +57,10 @@ TEST_P(DistDriverSweep, ImplicitMatchesSerialImplicitEnergies) {
   const DriverResult reference = solve_casida(problem, serial);
 
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kImplicit;
     opts.num_states = 2;
     opts.nmu = 12;  // == Ncv -> near-exact ISDF
-    opts.kmeans.seeding = kmeans::Seeding::kTopWeight;
     const DistDriverStats stats =
         solve_casida_distributed(comm, problem, opts);
     for (Index j = 0; j < 2; ++j) {
@@ -82,13 +81,13 @@ TEST_P(DistDriverSweep, RankCountDoesNotChangeNaiveResult) {
 
   std::vector<Real> e1;
   par::run(1, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kNaive;
     opts.num_states = 2;
     e1 = solve_casida_distributed(comm, problem, opts).energies;
   });
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kNaive;
     opts.num_states = 2;
     const auto ep = solve_casida_distributed(comm, problem, opts).energies;
@@ -103,20 +102,18 @@ TEST_P(DistDriverSweep, PipelinedReduceGivesSameEnergies) {
   const CasidaProblem problem = make_test_problem();
   std::vector<Real> mono, piped;
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kNaive;
     opts.num_states = 2;
-    opts.pipelined_reduce = false;
     // Every rank computes the same energies; only rank 0 writes the
     // shared capture so the rank threads do not race on it.
     auto e = solve_casida_distributed(comm, problem, opts).energies;
     if (comm.rank() == 0) mono = std::move(e);
   });
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kNaive;
     opts.num_states = 2;
-    opts.pipelined_reduce = true;
     opts.pipeline_chunk = 3;
     auto e = solve_casida_distributed(comm, problem, opts).energies;
     if (comm.rank() == 0) piped = std::move(e);
@@ -130,11 +127,10 @@ TEST_P(DistDriverSweep, StatsAreCoherent) {
   const int p = GetParam();
   const CasidaProblem problem = make_test_problem();
   par::run(p, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kImplicit;
     opts.num_states = 2;
     opts.nmu = 10;
-    opts.kmeans.seeding = kmeans::Seeding::kTopWeight;
     const DistDriverStats stats =
         solve_casida_distributed(comm, problem, opts);
     EXPECT_GT(stats.wall_seconds, 0.0);
@@ -166,11 +162,10 @@ TEST(DistDriverObs, Fig8PhaseSpansPerRank) {
   const CasidaProblem problem = make_test_problem();
   constexpr int kRanks = 4;
   par::run(kRanks, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kImplicit;
     opts.num_states = 2;
     opts.nmu = 12;
-    opts.kmeans.seeding = kmeans::Seeding::kTopWeight;
     solve_casida_distributed(comm, problem, opts);
   });
   const auto stats = obs::aggregate_phases();
@@ -198,7 +193,7 @@ TEST(DistDriverObs, PhasesAreWallSecondsFromSpans) {
   const CasidaProblem problem = make_test_problem();
   DistDriverStats stats;
   par::run(4, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kImplicit;
     opts.num_states = 2;
     opts.nmu = 12;
@@ -224,7 +219,7 @@ TEST(DistDriverObs, PhasesAreWallSecondsFromSpans) {
 TEST(DistDriver, RejectsUnsupportedVersion) {
   const CasidaProblem problem = make_test_problem();
   par::run(1, [&](par::Comm& comm) {
-    DistDriverOptions opts;
+    DriverOptions opts;
     opts.version = Version::kKmeansIsdf;
     EXPECT_THROW(solve_casida_distributed(comm, problem, opts), Error);
   });
@@ -240,7 +235,7 @@ TEST(DistDriver, BothDriversRejectDerivedNmuBelowOne) {
   serial.nmu_ratio = 0.0;
   EXPECT_THROW(solve_casida(problem, serial), Error);
 
-  DistDriverOptions dist;
+  DriverOptions dist;
   dist.version = Version::kImplicit;
   dist.nmu_ratio = 0.0;
   EXPECT_THROW(par::run(2,

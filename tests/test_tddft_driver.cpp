@@ -90,37 +90,54 @@ TEST(Driver, NmuRatioDerivesPointCount) {
 }
 
 TEST(Driver, ProfilerPhasesPresentPerVersion) {
+  // kNaive and kImplicit bill the six Fig-8 phases of the one-rank
+  // pipeline; only the ablation versions bill the isdf.* spans.
   const CasidaProblem p = make_test_problem();
+  const std::vector<std::string> fig8 = {"pair_product", "kmeans", "fft",
+                                         "mpi",          "gemm",   "diag"};
   DriverOptions naive;
   naive.version = Version::kNaive;
   const DriverResult r1 = solve_casida(p, naive);
+  EXPECT_EQ(r1.profiler.phases(), fig8);
   EXPECT_GT(r1.profiler.total("pair_product"), 0.0);
+  EXPECT_GT(r1.profiler.total("fft"), 0.0);
   EXPECT_GT(r1.profiler.total("diag"), 0.0);
-  EXPECT_DOUBLE_EQ(r1.profiler.total("isdf.select_points"), 0.0);
+  EXPECT_DOUBLE_EQ(r1.profiler.total("kmeans"), 0.0);
 
   DriverOptions imp;
   imp.version = Version::kImplicit;
   imp.nmu = 16;
   const DriverResult r2 = solve_casida(p, imp);
-  EXPECT_GT(r2.profiler.total("isdf.select_points"), 0.0);
-  EXPECT_GT(r2.profiler.total("isdf.interp_vectors"), 0.0);
-  EXPECT_GT(r2.profiler.total("fft"), 0.0);
+  EXPECT_EQ(r2.profiler.phases(), fig8);
+  for (const char* phase : {"kmeans", "fft", "gemm", "diag"}) {
+    EXPECT_GT(r2.profiler.total(phase), 0.0) << phase;
+  }
   EXPECT_DOUBLE_EQ(r2.profiler.total("pair_product"), 0.0);
+  EXPECT_DOUBLE_EQ(r2.profiler.total("isdf.select_points"), 0.0);
   EXPECT_GT(r2.seconds_total, 0.0);
+
+  DriverOptions ablation;
+  ablation.version = Version::kKmeansIsdf;
+  ablation.nmu = 16;
+  const DriverResult r3 = solve_casida(p, ablation);
+  EXPECT_GT(r3.profiler.total("isdf.select_points"), 0.0);
+  EXPECT_GT(r3.profiler.total("isdf.interp_vectors"), 0.0);
+  EXPECT_GT(r3.profiler.total("diag"), 0.0);
 }
 
 TEST(Driver, ProfilerPhasesAreTheCallingThreadsSpans) {
-  // The profiler is filled from spans: with tracing on, every Fig-8
-  // phase the serial solve bills is a traced span on the calling thread
-  // (rank -1), and the profiler holds exactly their summed duration.
+  // The profiler is filled from spans: par::run(1) runs the pipeline
+  // inline, so with tracing on every Fig-8 phase the solve bills is a
+  // traced span on the calling thread (tagged rank 0), and the profiler
+  // holds exactly their summed duration.
   const CasidaProblem p = make_test_problem();
   const bool was_enabled = obs::tracing_enabled();
   for (const Version version : {Version::kImplicit, Version::kNaive}) {
     DriverOptions opts;
     opts.version = version;
     opts.nmu = 16;
-    std::vector<std::string> phases = {"fft", "gemm", "diag"};
-    if (version == Version::kNaive) phases.push_back("pair_product");
+    std::vector<std::string> phases = {"fft", "mpi", "gemm", "diag"};
+    phases.push_back(version == Version::kNaive ? "pair_product" : "kmeans");
 
     obs::set_tracing_enabled(true);
     obs::reset_trace();
@@ -128,7 +145,7 @@ TEST(Driver, ProfilerPhasesAreTheCallingThreadsSpans) {
     std::map<std::string, long long> span_ns;
     std::map<std::string, int> span_count;
     for (const auto& span : obs::detail::snapshot_spans()) {
-      if (span.rank != -1) continue;
+      if (span.rank != 0) continue;
       span_ns[span.name] += span.end_ns - span.start_ns;
       ++span_count[span.name];
     }
@@ -163,21 +180,91 @@ TEST(Driver, RpaKernelOptionLowersCoupling) {
   EXPECT_NE(a.energies[0], b.energies[0]);
 }
 
+/// The serial ISDF pieces of the implicit version: k-means++ points, Θ,
+/// M, the factored H, and a kernel for the naive build.
+struct SerialPieces {
+  explicit SerialPieces(const CasidaProblem& p, Index nmu)
+      : gvectors(p.grid), kernel(p.grid, gvectors, p.ground_density) {
+    isdf::IsdfOptions opts;
+    opts.nmu = nmu;
+    dec = isdf::isdf_decompose(p.grid, p.psi_v.view(), p.psi_c.view(), opts);
+  }
+  ImplicitHamiltonian hamiltonian(const CasidaProblem& p) const {
+    return make_implicit_hamiltonian(energy_differences(p), dec,
+                                     build_kernel_projection(dec, kernel));
+  }
+  grid::GVectors gvectors;
+  HxcKernel kernel;
+  isdf::IsdfResult dec;
+};
+
 TEST(Driver, DavidsonEigenMethodMatchesLobpcg) {
   const CasidaProblem p = make_test_problem();
-  DriverOptions lobpcg;
-  lobpcg.version = Version::kImplicit;
-  lobpcg.num_states = 3;
-  lobpcg.nmu = 18;
-  DriverOptions davidson = lobpcg;
-  davidson.eigen.method = EigenMethod::kDavidson;
-  const DriverResult a = solve_casida(p, lobpcg);
-  const DriverResult b = solve_casida(p, davidson);
+  const SerialPieces pieces(p, 18);
+  const ImplicitHamiltonian h = pieces.hamiltonian(p);
+  TddftEigenOptions eig;
+  eig.num_states = 3;
+  const la::LobpcgResult a = solve_casida_lobpcg(h, eig);
+  const la::DavidsonResult b = solve_casida_davidson(h, eig);
   for (Index j = 0; j < 3; ++j) {
-    EXPECT_NEAR(a.energies[static_cast<std::size_t>(j)],
-                b.energies[static_cast<std::size_t>(j)], 1e-6);
+    EXPECT_NEAR(a.eigenvalues[static_cast<std::size_t>(j)],
+                b.eigenvalues[static_cast<std::size_t>(j)], 1e-6);
   }
-  EXPECT_GT(b.eigen_iterations, 0);
+  EXPECT_GT(b.iterations, 0);
+}
+
+TEST(Driver, ImplicitIsTheSerialIsdfLobpcgComposition) {
+  // kImplicit runs the distributed pipeline on one rank; it must equal the
+  // serial composition bit for bit: k-means++ points, Θ, M, the factored
+  // H and the guarded LOBPCG.
+  const CasidaProblem p = make_test_problem();
+  const SerialPieces pieces(p, 16);
+  TddftEigenOptions eig;
+  eig.num_states = 3;
+  const la::LobpcgResult reference =
+      solve_casida_lobpcg(pieces.hamiltonian(p), eig);
+
+  DriverOptions opts;
+  opts.version = Version::kImplicit;
+  opts.num_states = 3;
+  opts.nmu = 16;
+  const DriverResult r = solve_casida(p, opts);
+  EXPECT_EQ(r.energies, reference.eigenvalues);
+  EXPECT_EQ(r.eigen_iterations, reference.iterations);
+  ASSERT_EQ(r.wavefunctions.rows(), p.ncv());
+  ASSERT_EQ(r.wavefunctions.cols(), 3);
+  for (Index i = 0; i < p.ncv(); ++i) {
+    for (Index j = 0; j < 3; ++j) {
+      EXPECT_EQ(r.wavefunctions(i, j), reference.eigenvectors(i, j))
+          << i << "," << j;
+    }
+  }
+}
+
+TEST(Driver, NaiveIsTheExplicitHamiltonianAndDenseSolve) {
+  const CasidaProblem p = make_test_problem();
+  const SerialPieces pieces(p, 1);
+  const CasidaSolution reference = diagonalize_dense(
+      build_hamiltonian_naive(p, pieces.kernel), 3);
+
+  DriverOptions opts;
+  opts.version = Version::kNaive;
+  opts.num_states = 3;
+  const DriverResult r = solve_casida(p, opts);
+  EXPECT_EQ(r.energies, reference.energies);
+  ASSERT_EQ(r.wavefunctions.rows(), p.ncv());
+  ASSERT_EQ(r.wavefunctions.cols(), 3);
+  for (Index j = 0; j < 3; ++j) {
+    Real overlap = 0;
+    for (Index i = 0; i < p.ncv(); ++i) {
+      overlap += r.wavefunctions(i, j) * reference.wavefunctions(i, j);
+    }
+    const Real sign = overlap < 0 ? Real{-1} : Real{1};
+    for (Index i = 0; i < p.ncv(); ++i) {
+      EXPECT_EQ(r.wavefunctions(i, j), sign * reference.wavefunctions(i, j))
+          << i << "," << j;
+    }
+  }
 }
 
 TEST(Driver, VersionNames) {

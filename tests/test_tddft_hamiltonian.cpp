@@ -256,7 +256,6 @@ TEST(ImplicitHamiltonian, MemoryFootprintIsFactored) {
   const CasidaProblem p = make_test_problem(6, 5);
   isdf::IsdfOptions opts;
   opts.nmu = 12;
-  opts.build_coefficients = false;
   const isdf::IsdfResult dec =
       isdf_decompose(p.grid, p.psi_v.view(), p.psi_c.view(), opts);
   const ImplicitHamiltonian h = make_implicit_hamiltonian(

@@ -14,11 +14,13 @@
 #               bench smokes (bench_fig8_breakdown --smoke, then
 #               bench_fig7_strong_scaling --smoke: the Naive and implicit
 #               versions at 1 and 3 ranks, an uneven partition) and
-#               examples/parallel_scaling at 3 ranks (implicit, then
-#               Naive with the pipelined reduce; it switches tracing on
-#               at run time and reads DistDriverStats::phases), so rank
-#               threads writing shared state outside the tests reach a
-#               sanitizer too.
+#               examples/parallel_scaling at 3 ranks (implicit with one
+#               allreduce, then Naive and implicit with the pipelined
+#               reduce in 16-row chunks; it switches tracing on at run
+#               time and reads DistDriverStats::phases), so rank threads
+#               writing shared state outside the tests reach a sanitizer
+#               too. The ctest runs cover the serial driver as well: it
+#               is the same pipeline under par::run(1).
 #   bench       bench-smoke: tools/bench.sh --smoke in the plain tree —
 #               seconds-long kernel benches with --compare correctness
 #               cross-checks, then lrt.bench/1 schema validation of the
@@ -168,14 +170,16 @@ if [ "$do_asan" -eq 1 ]; then
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-asan/bench/bench_fig7_strong_scaling --smoke
-  echo "=== [asan+ubsan] parallel_scaling (3 ranks: implicit, Naive pipelined) ==="
+  echo "=== [asan+ubsan] parallel_scaling (3 ranks: implicit, then Naive and implicit pipelined) ==="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-asan/examples/parallel_scaling --ranks 3
-  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    ./build-asan/examples/parallel_scaling --ranks 3 --version naive \
-      --pipelined=true
+  for version in naive implicit; do
+    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      ./build-asan/examples/parallel_scaling --ranks 3 --version "$version" \
+        --pipeline-chunk 16
+  done
   echo "=== [asan+ubsan] ctest with LRT_FAULT (injection under sanitizers) ==="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -195,12 +199,14 @@ if [ "$do_tsan" -eq 1 ]; then
   echo "=== [tsan] fig7 bench smoke (Naive + implicit, ranks 1 and 3) ==="
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/bench/bench_fig7_strong_scaling --smoke
-  echo "=== [tsan] parallel_scaling (3 ranks: implicit, Naive pipelined) ==="
+  echo "=== [tsan] parallel_scaling (3 ranks: implicit, then Naive and implicit pipelined) ==="
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/examples/parallel_scaling --ranks 3
-  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/examples/parallel_scaling --ranks 3 --version naive \
-      --pipelined=true
+  for version in naive implicit; do
+    TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+      ./build-tsan/examples/parallel_scaling --ranks 3 --version "$version" \
+        --pipeline-chunk 16
+  done
 fi
 
 echo "CI: all requested flavors passed"
