@@ -8,8 +8,7 @@
 // so a quadratic blowup in the call-graph or pass layer should fail
 // loudly, not silently stretch CI.
 //
-//   bench_analyze [--repo PATH] [--reps N] [--jobs N]
-//                 [--max-ms N] [--out FILE]
+//   bench_analyze [--repo PATH] [--reps N] [--max-ms N] [--out FILE]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
   std::string repo = ".";
   std::string out;
   int reps = 5;
-  int jobs = 0;
   double max_ms = -1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--repo") == 0 && i + 1 < argc) {
@@ -54,21 +52,18 @@ int main(int argc, char** argv) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--max-ms") == 0 && i + 1 < argc) {
       max_ms = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_analyze [--repo PATH] [--reps N] [--jobs N] "
+                   "usage: bench_analyze [--repo PATH] [--reps N] "
                    "[--max-ms N] [--out FILE]\n");
       return 2;
     }
   }
   if (reps < 1) reps = 1;
 
-  analyze::Config config = repo_config(repo);
-  config.jobs = jobs;
+  const analyze::Config config = repo_config(repo);
 
   std::vector<double> wall_ms(static_cast<std::size_t>(reps));
   analyze::Report last;
@@ -86,7 +81,6 @@ int main(int argc, char** argv) {
   report.meta("repo", repo);
   obs::BenchReport::Record& rec = report.record("analyze_repo");
   rec.param("reps", static_cast<long long>(reps));
-  rec.param("jobs", static_cast<long long>(jobs));
   rec.metric("wall_ms_median", median_ms);
   rec.metric("wall_ms_min", min_ms);
   rec.metric("findings", static_cast<double>(last.findings.size()));
@@ -100,9 +94,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("analyze_repo over %s: median %.1f ms, min %.1f ms "
-              "(%d reps, jobs=%d, %zu findings)\n",
-              repo.c_str(), median_ms, min_ms, reps, jobs,
-              last.findings.size());
+              "(%d reps, %zu findings)\n",
+              repo.c_str(), median_ms, min_ms, reps, last.findings.size());
   if (max_ms >= 0.0 && median_ms > max_ms) {
     std::fprintf(stderr, "bench_analyze: median %.1f ms exceeds --max-ms %.1f\n",
                  median_ms, max_ms);

@@ -19,10 +19,6 @@
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -46,12 +42,6 @@ struct Options {
   bool smoke = false;
   int reps = 0;  // 0 = pick by mode
 };
-
-void set_threads([[maybe_unused]] int n) {
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#endif
-}
 
 template <typename F>
 double best_of(int reps, F&& body) {
@@ -84,7 +74,6 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
              {256, 256, 256, la::Trans::kNo, la::Trans::kYes, "gemm.nt.256"}};
   }
   const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
-  set_threads(1);  // the acceptance claim is single-thread throughput
 
   for (const Case& c : cases) {
     Rng rng(static_cast<unsigned>(c.m + 2 * c.k));
@@ -204,30 +193,24 @@ void reference_fft3d(const fft::Fft1D& plan, Index n, fft::Complex* x,
 }
 
 void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
-  struct Case {
-    Index n;
-    int threads;
-  };
-  std::vector<Case> cases;
+  std::vector<Index> sizes;
   if (opt.smoke) {
-    cases = {{16, 1}, {12, 1}};
+    sizes = {16, 12};
   } else {
-    // 64^3 x 8 threads is the PR-4 acceptance configuration; 12, 14 and
-    // 21 run the Stockham mixed-radix path (12^3 is the Si8 SCF grid),
-    // and 26 = 2*13 keeps one Bluestein case.
-    cases = {{32, 1}, {64, 1}, {64, 8}, {12, 1}, {14, 1}, {21, 1}, {26, 1}};
+    // 12, 14 and 21 run the Stockham mixed-radix path (12^3 is the Si8
+    // SCF grid), and 26 = 2*13 keeps one Bluestein case.
+    sizes = {32, 64, 12, 14, 21, 26};
   }
   const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
 
-  for (const Case& c : cases) {
-    set_threads(c.threads);
-    const Index total = c.n * c.n * c.n;
-    Rng rng(static_cast<unsigned>(c.n));
+  for (const Index n : sizes) {
+    const Index total = n * n * n;
+    Rng rng(static_cast<unsigned>(n));
     std::vector<fft::Complex> grid(static_cast<std::size_t>(total));
     for (auto& v : grid) {
       v = fft::Complex(rng.uniform() * 2 - 1, rng.uniform() * 2 - 1);
     }
-    const fft::Fft3D fft3(c.n, c.n, c.n);
+    const fft::Fft3D fft3(n, n, n);
     std::vector<fft::Complex> work = grid;
 
     // One forward + one inverse per rep (round-trip, like the Hartree
@@ -244,19 +227,18 @@ void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
     });
     double sec_ref = 0;
     if (opt.compare) {
-      const fft::Fft1D plan(c.n);
+      const fft::Fft1D plan(n);
       sec_ref = best_of(reps, [&] {
         work = grid;
-        reference_fft3d(plan, c.n, work.data(), false);
-        reference_fft3d(plan, c.n, work.data(), true);
+        reference_fft3d(plan, n, work.data(), false);
+        reference_fft3d(plan, n, work.data(), true);
       });
     }
 
-    const std::string label = "fft.fft3d." + std::to_string(c.n) + ".t" +
-                              std::to_string(c.threads);
+    const std::string label = "fft.fft3d." + std::to_string(n) + ".t1";
     table.row()
         .cell(label)
-        .cell(static_cast<Index>(c.threads))
+        .cell(Index{1})
         .cell(sec_new, 5)
         .cell(flops / sec_new / 1e9, 2)
         .cell(bytes_per_point, 1)
@@ -265,8 +247,8 @@ void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
     obs::BenchReport::Record& rec = report.record(label);
     rec.param("kernel", "fft3d")
         .param("path", "new")
-        .param("n", static_cast<long long>(c.n))
-        .param("threads", static_cast<long long>(c.threads))
+        .param("n", static_cast<long long>(n))
+        .param("threads", 1LL)
         .metric("seconds_best", sec_new)
         .metric("gflops", flops / sec_new / 1e9)
         .metric("bytes_per_point", bytes_per_point);
@@ -275,21 +257,19 @@ void bench_fft(const Options& opt, Table& table, obs::BenchReport& report) {
       report.record(label + ".ref")
           .param("kernel", "fft3d")
           .param("path", "ref")
-          .param("n", static_cast<long long>(c.n))
-          .param("threads", static_cast<long long>(c.threads))
+          .param("n", static_cast<long long>(n))
+          .param("threads", 1LL)
           .metric("seconds_best", sec_ref)
           .metric("gflops", flops / sec_ref / 1e9)
           .metric("bytes_per_point", bytes_per_point);
     }
   }
-  set_threads(1);
 }
 
 // ----- dense small kernels ---------------------------------------------------
 
 void bench_dense(const Options& opt, Table& table, obs::BenchReport& report) {
   const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
-  set_threads(1);
   auto emit = [&](const std::string& label, const char* kernel, Index m,
                   Index n, double seconds, double flops) {
     table.row()
@@ -392,7 +372,6 @@ int bench_kmeans(const Options& opt, Table& table, obs::BenchReport& report) {
 
   kmeans::KMeansOptions opts;
   opts.seeding = kmeans::Seeding::kTopWeight;
-  set_threads(1);
 
   opts.pruned_assignment = false;
   kmeans::KMeansResult exact;

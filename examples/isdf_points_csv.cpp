@@ -9,7 +9,6 @@
 //
 //   ./isdf_points_csv [--grid 16] [--nmu 15] [--out-prefix fig2]
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -26,11 +25,7 @@ int main(int argc, char** argv) {
       .add("nc", "4", "conduction orbitals")
       .add("nmu", "15", "interpolation points (paper Fig 2 uses 15)")
       .add("out-prefix", "fig2", "CSV output prefix");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const Index n = cli.get_index("grid");
   const grid::RealSpaceGrid g(grid::UnitCell::cubic(10.0), {n, n, n});

@@ -9,7 +9,6 @@
 //
 //   ./matbg_dos [--nx 1] [--ny 1] [--ecut 6] [--out-prefix matbg]
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -50,11 +49,7 @@ int main(int argc, char** argv) {
       .add("ecut", "6.0", "kinetic cutoff (Hartree)")
       .add("vacuum", "5.0", "vacuum padding (Bohr)")
       .add("out-prefix", "matbg", "CSV output prefix");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const Real d_small = 2.6 * units::kAngstromToBohr;
   const Real d_large = 4.0 * units::kAngstromToBohr;

@@ -9,7 +9,6 @@
 //   ./parallel_scaling [--ranks 4] [--nv 10] [--nc 8] [--grid 12]
 //                      [--version implicit] [--pipeline-chunk 0]
 #include <cstdio>
-#include <iostream>
 #include <utility>
 
 #include "common/cli.hpp"
@@ -29,11 +28,7 @@ int main(int argc, char** argv) {
       .add("pipeline-chunk", "0",
            "rows per pipelined reduce to the row owners (Fig 5); 0 = one "
            "allreduce");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const Index n = cli.get_index("grid");
   const grid::RealSpaceGrid g(grid::UnitCell::cubic(9.0), {n, n, n});

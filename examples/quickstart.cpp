@@ -7,7 +7,6 @@
 //
 //   ./quickstart [--nv 8] [--nc 6] [--grid 12] [--states 3] [--nmu 0]
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -23,11 +22,7 @@ int main(int argc, char** argv) {
       .add("grid", "12", "real-space grid points per axis")
       .add("states", "3", "excitation states to report")
       .add("nmu", "0", "ISDF interpolation points (0 = auto rule of thumb)");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const Index n = cli.get_index("grid");
   const grid::RealSpaceGrid g(grid::UnitCell::cubic(8.0), {n, n, n});

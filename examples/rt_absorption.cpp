@@ -10,7 +10,6 @@
 //   ./rt_absorption [--box 12] [--ecut 5] [--steps 1500] [--dt 0.08]
 #include <algorithm>
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -29,11 +28,7 @@ int main(int argc, char** argv) {
       .add("dt", "0.08", "time step (a.u.)")
       .add("kick", "0.002", "delta-kick strength")
       .add("out", "rt_spectrum.csv", "spectrum CSV path");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const grid::Structure water = grid::make_water_box(cli.get_real("box"));
   dft::ScfOptions scf;

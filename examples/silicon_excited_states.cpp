@@ -6,7 +6,6 @@
 //
 //   ./silicon_excited_states [--ecut 6] [--states 4] [--nv 8] [--nc 6]
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -21,11 +20,7 @@ int main(int argc, char** argv) {
       .add("states", "4", "excitation states to report")
       .add("nv", "8", "valence orbitals entering the Casida space (top of VB)")
       .add("nc", "6", "conduction orbitals entering the Casida space");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const grid::Structure si8 = grid::make_silicon_supercell(1);
   std::printf("Si8 diamond cell, a = %.3f Bohr, %td atoms\n",

@@ -5,7 +5,6 @@
 //
 //   ./water_casida [--box 16.0] [--ecut 8] [--states 3]
 #include <cstdio>
-#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -19,11 +18,7 @@ int main(int argc, char** argv) {
       .add("ecut", "8.0", "kinetic cutoff (Hartree)")
       .add("states", "3", "excitation states to report")
       .add("nc", "4", "conduction orbitals to converge");
-  cli.parse(argc, argv);
-  if (cli.help_requested()) {
-    std::cout << cli.help();
-    return 0;
-  }
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const grid::Structure water = grid::make_water_box(cli.get_real("box"));
   std::printf("H2O in a %.1f Bohr box: %td atoms, %.0f electrons\n",

@@ -167,25 +167,13 @@ std::vector<std::string> discover_sources(const std::string& root) {
 
 namespace {
 
-/// Reads (serial — the I/O is ordered and cheap) then lexes (parallel —
-/// the lexer is pure per file) every input. Output order matches the
-/// input order regardless of thread count: each worker writes only its
-/// own index.
+/// Reads and lexes every input, in input order.
 std::vector<LexedFile> lex_files(const Config& config,
                                  const std::vector<std::string>& files) {
-  std::vector<std::string> texts(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    texts[i] = read_file(config.root + "/" + files[i]);
-  }
-  std::vector<LexedFile> lexed(files.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(files.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) \
-    num_threads(effective_jobs(config.jobs))
-#endif
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::size_t u = static_cast<std::size_t>(i);
-    lexed[u] = lex(files[u], texts[u]);
+  std::vector<LexedFile> lexed;
+  lexed.reserve(files.size());
+  for (const std::string& file : files) {
+    lexed.push_back(lex(file, read_file(config.root + "/" + file)));
   }
   return lexed;
 }
@@ -194,7 +182,7 @@ std::vector<LexedFile> lex_files(const Config& config,
 
 Report analyze(const Config& config, const std::vector<std::string>& files) {
   const std::vector<LexedFile> lexed = lex_files(config, files);
-  const CallGraph graph = CallGraph::build(lexed, config.jobs);
+  const CallGraph graph = CallGraph::build(lexed);
 
   std::vector<Finding> findings;
   PassContext ctx;

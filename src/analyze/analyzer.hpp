@@ -57,12 +57,6 @@ struct Config {
   std::set<std::string> baseline_layer_edges;
   /// Whole files grandfathered for a pass, as "pass:path" entries.
   std::set<std::string> baseline_files;
-
-  /// Worker threads for the per-TU lex and call-graph discovery stages
-  /// (the `--jobs` flag). 0 = the OpenMP default team size; builds
-  /// without OpenMP always run serially. Finding order is deterministic
-  /// either way — parallel stages write into index-addressed slots.
-  int jobs = 0;
 };
 
 struct Report {

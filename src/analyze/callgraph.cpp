@@ -8,10 +8,6 @@
 
 #include "analyze/passes.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace lrt::analyze {
 
 namespace {
@@ -352,41 +348,14 @@ bool inherit(Fact* dst, const Fact& src, std::size_t via) {
 
 }  // namespace
 
-int effective_jobs(int jobs) {
-#ifdef _OPENMP
-  return jobs > 0 ? jobs : omp_get_max_threads();
-#else
-  (void)jobs;
-  return 1;
-#endif
-}
-
-/// Per-TU discovery for every file, OpenMP-parallel. Embarrassingly
-/// parallel and deterministic: each worker writes only its own slot.
-/// Kept as its own function so the omp region stays free of container
-/// growth (the analyzer checks itself).
-std::vector<std::vector<FunctionInfo>> discover_all(
-    const std::vector<LexedFile>& files, int jobs) {
-  std::vector<std::vector<FunctionInfo>> scans(files.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(files.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(effective_jobs(jobs))
-#else
-  (void)jobs;
-#endif
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::size_t u = static_cast<std::size_t>(i);
-    scans[u] = discover_tu(files[u], u);
-  }
-  return scans;
-}
-
-CallGraph CallGraph::build(const std::vector<LexedFile>& files, int jobs) {
+CallGraph CallGraph::build(const std::vector<LexedFile>& files) {
   CallGraph g;
 
-  // Per-TU discovery is parallel; everything after it (indexing,
-  // resolution, propagation) is cheap and stays serial for determinism.
-  std::vector<std::vector<FunctionInfo>> scans = discover_all(files, jobs);
+  // Per-TU discovery, then indexing, resolution and propagation.
+  std::vector<std::vector<FunctionInfo>> scans(files.size());
+  for (std::size_t u = 0; u < files.size(); ++u) {
+    scans[u] = discover_tu(files[u], u);
+  }
 
   std::size_t total = 0;
   for (const std::vector<FunctionInfo>& s : scans) total += s.size();

@@ -37,11 +37,6 @@ namespace lrt::analyze {
 /// Sentinel function index: "no function" / "could not resolve".
 constexpr std::size_t kNoFunction = static_cast<std::size_t>(-1);
 
-/// Worker count for the parallel per-TU stages: `jobs` when positive,
-/// the OpenMP default team size for 0 or negative, always 1 without
-/// OpenMP.
-int effective_jobs(int jobs);
-
 /// One declared parameter of a discovered function definition.
 struct ParamInfo {
   std::string name;
@@ -88,11 +83,9 @@ struct FunctionInfo {
 /// passes via PassContext::graph.
 class CallGraph {
  public:
-  /// Discovers functions in every lexed file (OpenMP-parallel per-TU
-  /// when `jobs` != 1; `jobs` <= 0 means the OpenMP default team size),
-  /// resolves call sites, and propagates summaries callee-first over the
-  /// SCC condensation.
-  static CallGraph build(const std::vector<LexedFile>& files, int jobs);
+  /// Discovers functions in every lexed file, resolves call sites, and
+  /// propagates summaries callee-first over the SCC condensation.
+  static CallGraph build(const std::vector<LexedFile>& files);
 
   const std::vector<FunctionInfo>& functions() const { return functions_; }
 

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -26,25 +27,37 @@ void CliParser::parse(int argc, const char* const* argv) {
       help_requested_ = true;
       continue;
     }
-    LRT_CHECK(arg.rfind("--", 0) == 0,
-              "expected option starting with --, got '" << arg << "'");
+    if (arg.rfind("--", 0) != 0) {
+      throw Error("expected an option starting with --, got '" + arg + "'");
+    }
     arg = arg.substr(2);
 
-    std::string name, value;
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      LRT_CHECK(i + 1 < argc, "option --" << name << " expects a value");
-      value = argv[++i];
-    }
+    const std::string name = arg.substr(0, eq);
     auto it = options_.find(name);
-    LRT_CHECK(it != options_.end(), "unknown option --" << name << "\n"
-                                                        << help());
-    it->second.value = value;
+    if (it == options_.end()) throw Error("unknown option --" + name);
+    if (eq != std::string::npos) {
+      it->second.value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      it->second.value = argv[++i];
+    } else {
+      throw Error("option --" + name + " expects a value");
+    }
   }
+}
+
+std::optional<int> CliParser::parse_main(int argc, const char* const* argv) {
+  try {
+    parse(argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n\n" << help();
+    return 2;
+  }
+  if (help_requested_) {
+    std::cout << help();
+    return 0;
+  }
+  return std::nullopt;
 }
 
 std::string CliParser::help() const {

@@ -2,11 +2,12 @@
 //
 // Supports the `--name value` and `--name=value` forms; every option
 // takes a value.
-// Unknown options raise an error listing registered names, so examples
-// fail loudly instead of silently ignoring typos.
+// Unknown options raise an error, which parse_main() prints with the
+// usage, so examples fail loudly instead of silently ignoring typos.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,10 +25,14 @@ class CliParser {
                  const std::string& help);
 
   /// Parses argv. Throws lrt::Error on unknown or malformed options.
-  /// Recognizes --help and sets help_requested().
+  /// Recognizes --help.
   void parse(int argc, const char* const* argv);
 
-  bool help_requested() const { return help_requested_; }
+  /// parse() for a program's main(). Returns the exit status when the
+  /// program should stop: 0 after printing the usage for --help, 2 after
+  /// printing a malformed or unknown option's error and the usage to
+  /// stderr. Returns nothing when the program should go on.
+  std::optional<int> parse_main(int argc, const char* const* argv);
 
   /// Usage text.
   std::string help() const;

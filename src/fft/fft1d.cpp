@@ -6,22 +6,10 @@
 #include "common/error.hpp"
 #include "obs/counters.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace lrt::fft {
 namespace {
 
 using constants::kPi;
-
-bool in_parallel() {
-#ifdef _OPENMP
-  return omp_in_parallel() != 0;
-#else
-  return false;
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // Batched transforms (docs/PERFORMANCE.md §2).
@@ -307,8 +295,8 @@ std::vector<Complex> make_twiddles(Index n, int sign) {
 }
 
 /// Grow-only per-thread scratch for the tiles. Plans are shared between
-/// threads (OpenMP teams and par::run ranks), so the scratch is owned by
-/// the calling thread rather than the plan.
+/// par::run ranks, so the scratch is owned by the calling thread rather
+/// than the plan.
 Real* tile_scratch(std::size_t count) {
   thread_local std::vector<Real> scratch;
   if (scratch.size() < count) scratch.resize(count);
@@ -323,10 +311,6 @@ Index next_power_of_two(Index n) {
   Index p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-bool worth_a_team(Index count, Index n) {
-  return !in_parallel() && double(count) * double(n) > 16384.0;
 }
 
 struct Fft1D::Impl {
@@ -601,29 +585,16 @@ void Fft1D::transform_many(Complex* base, Index count, Index stride,
   const std::size_t scratch =
       2 * tile_size * static_cast<std::size_t>(rows);
 
-  auto run_tiles = [&](Index l_begin, Index l_end) {
-    Real* buf = tile_scratch(scratch);
-    for (Index l0 = l_begin; l0 < l_end; l0 += tile) {
-      const Index nt = std::min(tile, count - l0);
-      Real* re = buf;
-      Real* im = re + tile_size * static_cast<std::size_t>(n);
-      Real* wr = im + tile_size * static_cast<std::size_t>(n);
-      Real* wi = wr + tile_size * static_cast<std::size_t>(rows - n);
-      Complex* src = base + l0 * dist;
-      gather_tile(src, nt, n, stride, dist, re, im);
-      impl_->transform_tile(re, im, nt, inverse, wr, wi);
-      scatter_tile(src, nt, n, stride, dist, re, im);
-    }
-  };
-
-  if (count <= tile || !worth_a_team(count, n)) {
-    run_tiles(0, count);
-    return;
-  }
-  const Index num_tiles = (count + tile - 1) / tile;
-#pragma omp parallel for schedule(static)
-  for (Index b = 0; b < num_tiles; ++b) {
-    run_tiles(b * tile, std::min(count, (b + 1) * tile));
+  Real* re = tile_scratch(scratch);
+  Real* im = re + tile_size * static_cast<std::size_t>(n);
+  Real* wr = im + tile_size * static_cast<std::size_t>(n);
+  Real* wi = wr + tile_size * static_cast<std::size_t>(rows - n);
+  for (Index l0 = 0; l0 < count; l0 += tile) {
+    const Index nt = std::min(tile, count - l0);
+    Complex* src = base + l0 * dist;
+    gather_tile(src, nt, n, stride, dist, re, im);
+    impl_->transform_tile(re, im, nt, inverse, wr, wi);
+    scatter_tile(src, nt, n, stride, dist, re, im);
   }
 }
 

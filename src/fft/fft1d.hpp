@@ -55,9 +55,7 @@ class Fft1D {
   /// cache-blocked tile-transposed contiguous buffers so the strided
   /// access cost is paid once per element, and the butterflies run
   /// across lines with unit stride (SIMD) — results are bitwise
-  /// identical to calling forward() per line. Threads over tiles with
-  /// OpenMP when worth_a_team(count, n) and the batch spans several
-  /// tiles.
+  /// identical to calling forward() per line.
   void forward_many(Complex* base, Index count, Index stride,
                     Index dist) const;
 
@@ -83,10 +81,5 @@ bool is_power_of_two(Index n);
 
 /// Smallest power of two >= n.
 Index next_power_of_two(Index n);
-
-/// True when `count` lines of length n are enough work to fork an OpenMP
-/// team (count·n > 16384) and no team is running yet. Every FFT parallel
-/// region is gated by it.
-bool worth_a_team(Index count, Index n);
 
 }  // namespace lrt::fft

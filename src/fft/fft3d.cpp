@@ -17,10 +17,8 @@ Fft3D::Fft3D(Index n0, Index n1, Index n2)
 // Each axis pass is one batched call into the shared per-axis plan
 // (docs/PERFORMANCE.md §2): the batched API tiles the strided gather
 // into contiguous transposed buffers and runs butterflies across lines,
-// replacing the old per-element copy loops. Axis 1 is phrased per-slab
-// so an OpenMP team can take whole slabs when the pass is worth one
-// (worth_a_team, the threshold the batched calls use); each slab is
-// itself a batched (count=n2, stride=n2, dist=1) call.
+// replacing the old per-element copy loops. Axis 1 runs per slab: each
+// i0 slab is one batched (count=n2, stride=n2, dist=1) call.
 void Fft3D::transform(Complex* x, bool inverse) const {
   const Index n0 = n_[0], n1 = n_[1], n2 = n_[2];
   const obs::Span span("fft.fft3d");
@@ -43,19 +41,13 @@ void Fft3D::transform(Complex* x, bool inverse) const {
     // Axis 1: within each i0 slab, n2 lines of stride n2 starting at
     // consecutive offsets.
     const obs::Span axis("fft.fft3d.axis1");
-    auto slab_pass = [&](Index i0) {
+    for (Index i0 = 0; i0 < n0; ++i0) {
       Complex* slab = x + i0 * n1 * n2;
       if (inverse) {
         plan1_.inverse_many(slab, n2, /*stride=*/n2, /*dist=*/1);
       } else {
         plan1_.forward_many(slab, n2, /*stride=*/n2, /*dist=*/1);
       }
-    };
-    if (n0 > 1 && worth_a_team(n0 * n2, n1)) {
-#pragma omp parallel for schedule(static)
-      for (Index i0 = 0; i0 < n0; ++i0) slab_pass(i0);
-    } else {
-      for (Index i0 = 0; i0 < n0; ++i0) slab_pass(i0);
     }
   }
 

@@ -11,7 +11,6 @@ la::RealMatrix pair_product_matrix(la::RealConstView psi_v,
   const Index nv = psi_v.cols();
   const Index nc = psi_c.cols();
   la::RealMatrix z(nr, nv * nc);
-#pragma omp parallel for schedule(static)
   for (Index r = 0; r < nr; ++r) {
     const Real* v = psi_v.row_ptr(r);
     const Real* c = psi_c.row_ptr(r);

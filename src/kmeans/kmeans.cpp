@@ -10,10 +10,6 @@
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace lrt::kmeans {
 namespace {
 
@@ -25,22 +21,6 @@ namespace {
 // the exact scan (including first-lowest-index tie-breaking).
 constexpr Real kPruneSlackUp = Real{1} + Real{1e-9};
 constexpr Real kPruneSlackDown = Real{1} - Real{1e-9};
-
-int max_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-int thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
 
 Real squared_distance(const grid::Vec3& a, const grid::Vec3& b,
                       const grid::UnitCell* cell) {
@@ -288,7 +268,6 @@ std::vector<Real> pair_weights(la::RealConstView psi_v,
   LRT_CHECK(psi_v.rows() == psi_c.rows(), "orbital grids differ");
   const Index nr = psi_v.rows();
   std::vector<Real> w(static_cast<std::size_t>(nr));
-#pragma omp parallel for schedule(static)
   for (Index i = 0; i < nr; ++i) {
     Real sv = 0;
     const Real* rv = psi_v.row_ptr(i);
@@ -390,7 +369,6 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
   static obs::Counter& full_counter = obs::counter("kmeans.assign.full");
   static obs::Counter& skip_counter = obs::counter("kmeans.assign.skipped");
 
-  std::vector<Real> thread_objective(static_cast<std::size_t>(max_threads()));
   const obs::Span lloyd_span("kmeans.lloyd");
   Real previous_objective = restored_objective;
   for (Index iter = start_iter; iter < options.max_iterations; ++iter) {
@@ -419,61 +397,50 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
     }
 
     // Assignment step (paper: "the classification step ... can be locally
-    // computed for each group of grid points"). Each thread sums its
-    // static chunk's objective terms into its own slot and the slots are
-    // added in thread order: a reduction(+) clause would combine the
-    // partials in completion order and move the last bits between runs.
-    // A rank thread of a multi-rank run forms no team: the ranks already
-    // share the cores.
-    std::fill(thread_objective.begin(), thread_objective.end(), Real{0});
+    // computed for each group of grid points"): one running sum of the
+    // objective terms in point order.
+    Real objective = 0;
     long long full_scans = 0;
     long long skips = 0;
-#pragma omp parallel if (one_rank) reduction(+ : full_scans, skips)
-    {
-      Real objective = 0;
-#pragma omp for schedule(static)
-      for (Index i = 0; i < nkept; ++i) {
-        const Index p = kept[static_cast<std::size_t>(i)];
-        const grid::Vec3& r = points[static_cast<std::size_t>(p)];
-        if (prune) {
-          const Index a = result.assignment[static_cast<std::size_t>(i)];
-          const Real drift = (a == move_arg) ? move2 : move1;
-          const Real bound = lb[static_cast<std::size_t>(i)] - drift;
-          if (bound > 0) {
-            const Real d2a = squared_distance(
-                r, result.centroids[static_cast<std::size_t>(a)], cell);
-            if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
-              // Every other center is strictly farther than the assigned
-              // one, so the full scan would reproduce assignment `a` and
-              // the identical objective term w * d2a.
-              lb[static_cast<std::size_t>(i)] = bound;
-              objective += weights[static_cast<std::size_t>(p)] * d2a;
-              ++skips;
-              continue;
-            }
+    for (Index i = 0; i < nkept; ++i) {
+      const Index p = kept[static_cast<std::size_t>(i)];
+      const grid::Vec3& r = points[static_cast<std::size_t>(p)];
+      if (prune) {
+        const Index a = result.assignment[static_cast<std::size_t>(i)];
+        const Real drift = (a == move_arg) ? move2 : move1;
+        const Real bound = lb[static_cast<std::size_t>(i)] - drift;
+        if (bound > 0) {
+          const Real d2a = squared_distance(
+              r, result.centroids[static_cast<std::size_t>(a)], cell);
+          if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
+            // Every other center is strictly farther than the assigned
+            // one, so the full scan would reproduce assignment `a` and
+            // the identical objective term w * d2a.
+            lb[static_cast<std::size_t>(i)] = bound;
+            objective += weights[static_cast<std::size_t>(p)] * d2a;
+            ++skips;
+            continue;
           }
         }
-        Real best = std::numeric_limits<Real>::max();
-        Real second = std::numeric_limits<Real>::max();
-        Index best_c = 0;
-        for (Index c = 0; c < k; ++c) {
-          const Real d = squared_distance(
-              r, result.centroids[static_cast<std::size_t>(c)], cell);
-          if (d < best) {
-            second = best;
-            best = d;
-            best_c = c;
-          } else if (d < second) {
-            second = d;
-          }
-        }
-        result.assignment[static_cast<std::size_t>(i)] = best_c;
-        objective += weights[static_cast<std::size_t>(p)] * best;
-        ++full_scans;
-        if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
       }
-      const auto slot = static_cast<std::size_t>(thread_id());
-      thread_objective[slot] = objective;
+      Real best = std::numeric_limits<Real>::max();
+      Real second = std::numeric_limits<Real>::max();
+      Index best_c = 0;
+      for (Index c = 0; c < k; ++c) {
+        const Real d = squared_distance(
+            r, result.centroids[static_cast<std::size_t>(c)], cell);
+        if (d < best) {
+          second = best;
+          best = d;
+          best_c = c;
+        } else if (d < second) {
+          second = d;
+        }
+      }
+      result.assignment[static_cast<std::size_t>(i)] = best_c;
+      objective += weights[static_cast<std::size_t>(p)] * best;
+      ++full_scans;
+      if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
     }
     full_counter.add(full_scans);
     skip_counter.add(skips);
@@ -503,14 +470,13 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
         slot[1 + ax] += w * contrib[static_cast<std::size_t>(ax)];
       }
     }
-    Real& objective = sums[static_cast<std::size_t>(4 * k)];
-    for (const Real part : thread_objective) objective += part;
+    sums[static_cast<std::size_t>(4 * k)] = objective;
     sums[static_cast<std::size_t>(4 * k + 1)] = static_cast<Real>(local_pruned);
     if (comm) {
       comm->allreduce(sums.data(), static_cast<Index>(sums.size()),
                       par::ReduceOp::kSum);
     }
-    result.objective = objective;
+    result.objective = sums[static_cast<std::size_t>(4 * k)];
     result.num_pruned = static_cast<Index>(
         std::llround(sums[static_cast<std::size_t>(4 * k + 1)]));
 

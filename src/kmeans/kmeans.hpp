@@ -99,8 +99,8 @@ struct KMeansResult {
 /// all N_r grid positions. With `comm` they are this rank's block, whose
 /// first point has global index `global_offset`, and the call is
 /// collective. On a one-rank communicator it is the serial call: same
-/// seeding, reseeding, OpenMP team and result, global indices shifted by
-/// `global_offset`. Across two or more ranks no OpenMP team is formed.
+/// seeding, reseeding and result, global indices shifted by
+/// `global_offset`.
 KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
                              const std::vector<Real>& weights, Index k,
                              const KMeansOptions& options = {},

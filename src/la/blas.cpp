@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "la/tuning.hpp"
 #include "obs/counters.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 namespace lrt::la {
 namespace {
-
-/// Dimension product above which gemm spawns an OpenMP team.
-constexpr double kParallelFlopThreshold = 1e6;
 
 // ---------------------------------------------------------------------------
 // Packed micro-kernel GEMM (docs/PERFORMANCE.md §1).
@@ -198,43 +193,42 @@ void multiply_block(RealConstView a, bool ta, Real alpha, Index ic,
   }
 }
 
-/// C += alpha * op(A) op(B) through the packed micro-kernel. With
-/// `lower_only` (square C), only micro-tiles that touch C's lower
+/// C_i += alpha * op(A_i) op(B) through the packed micro-kernel for
+/// every item: each op(B) panel is packed once and shared by all items.
+/// With `lower_only` (square C), only micro-tiles that touch C's lower
 /// triangle are computed; the strict upper triangle is left partial.
-void gemm_packed(bool ta, bool tb, Real alpha, RealConstView a,
-                 RealConstView b, RealView c, bool lower_only = false) {
-  const Index m = c.rows(), n = c.cols();
-  const Index k = ta ? a.rows() : a.cols();
+void gemm_packed(bool ta, bool tb, Real alpha,
+                 std::span<const GemmBatchItem> items, RealConstView b,
+                 bool lower_only = false) {
+  const Index n = tb ? b.rows() : b.cols();
+  const Index k = tb ? b.cols() : b.rows();
+  Index m_max = 0;
+  for (const GemmBatchItem& item : items) {
+    m_max = std::max(m_max, item.c.rows());
+  }
   const Blocking& blk = blocking();
-  [[maybe_unused]] const bool parallel =
-      2.0 * double(m) * double(n) * double(k) > kParallelFlopThreshold;
 
   const Index nc_max = std::min(((n + kNr - 1) / kNr) * kNr, blk.nc);
-  const Index mc_max = std::min(((m + kMr - 1) / kMr) * kMr, blk.mc);
+  const Index mc_max = std::min(((m_max + kMr - 1) / kMr) * kMr, blk.mc);
   const Index kc_max = std::min(k, blk.kc);
   std::vector<Real> bpack(static_cast<std::size_t>(nc_max * kc_max));
-
-#pragma omp parallel if (parallel)
-  {
-    std::vector<Real> apack(static_cast<std::size_t>(mc_max * kc_max));
-    for (Index jc = 0; jc < n; jc += blk.nc) {
-      const Index ncur = std::min(blk.nc, n - jc);
-      const Index npanels = (ncur + kNr - 1) / kNr;
-      for (Index pc = 0; pc < k; pc += blk.kc) {
-        const Index kcur = std::min(blk.kc, k - pc);
-        // Pack the B panel cooperatively; the implicit barrier of the
-        // worksharing loop publishes it to every thread.
-#pragma omp for schedule(static)
-        for (Index jp = 0; jp < npanels; ++jp) {
-          const Index j0 = jc + jp * kNr;
-          pack_b_panel(b, tb, pc, kcur, j0, std::min(kNr, n - j0),
-                       bpack.data() + jp * kcur * kNr);
-        }
-#pragma omp for schedule(dynamic)
+  std::vector<Real> apack(static_cast<std::size_t>(mc_max * kc_max));
+  for (Index jc = 0; jc < n; jc += blk.nc) {
+    const Index ncur = std::min(blk.nc, n - jc);
+    const Index npanels = (ncur + kNr - 1) / kNr;
+    for (Index pc = 0; pc < k; pc += blk.kc) {
+      const Index kcur = std::min(blk.kc, k - pc);
+      for (Index jp = 0; jp < npanels; ++jp) {
+        const Index j0 = jc + jp * kNr;
+        pack_b_panel(b, tb, pc, kcur, j0, std::min(kNr, n - j0),
+                     bpack.data() + jp * kcur * kNr);
+      }
+      for (const GemmBatchItem& item : items) {
+        const Index m = item.c.rows();
         for (Index ic = 0; ic < m; ic += blk.mc) {
-          multiply_block(a, ta, alpha, ic, std::min(blk.mc, m - ic), pc, kcur,
-                         bpack.data(), jc, npanels, c, apack.data(),
-                         lower_only);
+          multiply_block(item.a, ta, alpha, ic, std::min(blk.mc, m - ic), pc,
+                         kcur, bpack.data(), jc, npanels, item.c,
+                         apack.data(), lower_only);
         }
       }
     }
@@ -306,9 +300,6 @@ constexpr Index kRefIBlock = 64;
 
 void ref_nn(Real alpha, RealConstView a, RealConstView b, RealView c) {
   const Index m = c.rows(), n = c.cols(), k = a.cols();
-  [[maybe_unused]] const bool parallel =
-      2.0 * double(m) * double(n) * double(k) > kParallelFlopThreshold;
-#pragma omp parallel for schedule(dynamic) if (parallel)
   for (Index i0 = 0; i0 < m; i0 += kRefIBlock) {
     const Index i1 = std::min(i0 + kRefIBlock, m);
     for (Index k0 = 0; k0 < k; k0 += kRefKBlock) {
@@ -329,9 +320,6 @@ void ref_nn(Real alpha, RealConstView a, RealConstView b, RealView c) {
 
 void ref_tn(Real alpha, RealConstView a, RealConstView b, RealView c) {
   const Index m = c.rows(), n = c.cols(), k = a.rows();
-  [[maybe_unused]] const bool parallel =
-      2.0 * double(m) * double(n) * double(k) > kParallelFlopThreshold;
-#pragma omp parallel for schedule(dynamic) if (parallel)
   for (Index i0 = 0; i0 < m; i0 += kRefIBlock) {
     const Index i1 = std::min(i0 + kRefIBlock, m);
     for (Index k0 = 0; k0 < k; k0 += kRefKBlock) {
@@ -352,9 +340,6 @@ void ref_tn(Real alpha, RealConstView a, RealConstView b, RealView c) {
 
 void ref_nt(Real alpha, RealConstView a, RealConstView b, RealView c) {
   const Index m = c.rows(), n = c.cols(), k = a.cols();
-  [[maybe_unused]] const bool parallel =
-      2.0 * double(m) * double(n) * double(k) > kParallelFlopThreshold;
-#pragma omp parallel for schedule(dynamic) if (parallel)
   for (Index i = 0; i < m; ++i) {
     const Real* ai = a.row_ptr(i);
     Real* ci = c.row_ptr(i);
@@ -447,7 +432,8 @@ void gemm(Trans ta, Trans tb, Real alpha, RealConstView a, RealConstView b,
   if (m == 0 || n == 0 || k == 0 || alpha == Real{0}) return;
 
   if (count_gemm(m, n, k)) {
-    gemm_packed(ta == Trans::kYes, tb == Trans::kYes, alpha, a, b, c);
+    const GemmBatchItem item{a, c};
+    gemm_packed(ta == Trans::kYes, tb == Trans::kYes, alpha, {&item, 1}, b);
     return;
   }
   if (ta == Trans::kNo && tb == Trans::kNo) {
@@ -492,56 +478,7 @@ void gemm_many(Trans ta, Trans tb, Real alpha,
   packed.add(static_cast<long long>(items.size()));
   if (m_max == 0 || n == 0 || k == 0 || alpha == Real{0}) return;
 
-  // Flattened (item, mc-block) task list: once a shared B panel is
-  // packed, threads pick any item's block, so small items never serialize
-  // the team.
-  struct Task {
-    std::size_t item;
-    Index ic;
-  };
-  const Blocking& blk = blocking();
-  std::size_t ntasks = 0;
-  for (const GemmBatchItem& item : items) {
-    ntasks += static_cast<std::size_t>((item.c.rows() + blk.mc - 1) / blk.mc);
-  }
-  std::vector<Task> tasks;
-  tasks.reserve(ntasks);
-  for (std::size_t t = 0; t < items.size(); ++t) {
-    const Index m = items[t].c.rows();
-    for (Index ic = 0; ic < m; ic += blk.mc) tasks.push_back({t, ic});
-  }
-  [[maybe_unused]] const bool parallel = total_flops > kParallelFlopThreshold;
-  const Index nc_max = std::min(((n + kNr - 1) / kNr) * kNr, blk.nc);
-  const Index mc_max = std::min(((m_max + kMr - 1) / kMr) * kMr, blk.mc);
-  const Index kc_max = std::min(k, blk.kc);
-  std::vector<Real> bpack(static_cast<std::size_t>(nc_max * kc_max));
-
-#pragma omp parallel if (parallel)
-  {
-    std::vector<Real> apack(static_cast<std::size_t>(mc_max * kc_max));
-    for (Index jc = 0; jc < n; jc += blk.nc) {
-      const Index ncur = std::min(blk.nc, n - jc);
-      const Index npanels = (ncur + kNr - 1) / kNr;
-      for (Index pc = 0; pc < k; pc += blk.kc) {
-        const Index kcur = std::min(blk.kc, k - pc);
-#pragma omp for schedule(static)
-        for (Index jp = 0; jp < npanels; ++jp) {
-          const Index j0 = jc + jp * kNr;
-          pack_b_panel(b, tbb, pc, kcur, j0, std::min(kNr, n - j0),
-                       bpack.data() + jp * kcur * kNr);
-        }
-#pragma omp for schedule(dynamic)
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-          const GemmBatchItem& item = items[tasks[t].item];
-          const Index ic = tasks[t].ic;
-          multiply_block(item.a, tab, alpha, ic,
-                         std::min(blk.mc, item.c.rows() - ic), pc, kcur,
-                         bpack.data(), jc, npanels, item.c, apack.data(),
-                         false);
-        }
-      }
-    }
-  }
+  gemm_packed(tab, tbb, alpha, items, b);
 }
 
 void gemm_reference(Trans ta, Trans tb, Real alpha, RealConstView a,
@@ -577,7 +514,8 @@ RealMatrix gram(RealConstView a) {
   // Billed as the full Aᵀ A gemm it replaces, although only the tiles
   // touching the lower triangle are computed.
   if (count_gemm(n, n, m)) {
-    gemm_packed(true, false, Real{1}, a, a, g.view(), /*lower_only=*/true);
+    const GemmBatchItem item{a, g.view()};
+    gemm_packed(true, false, Real{1}, {&item, 1}, a, /*lower_only=*/true);
   } else {
     // gemm_small_tn restricted to j <= i.
     for (Index kk = 0; kk < m; ++kk) {

@@ -2,7 +2,7 @@
 //
 // These stand in for the MKL calls the paper's implementation makes.
 // gemm runs a packed, register-tiled micro-kernel (BLIS-style blocking,
-// OpenMP-threaded, SIMD via runtime ISA dispatch) above a small flop
+// single-threaded, SIMD via runtime ISA dispatch) above a small flop
 // threshold and a branch-free scalar fallback below it; the pre-packing
 // blocked kernel survives as gemm_reference for tests and the
 // `bench_micro_substrates --compare` baseline. See docs/PERFORMANCE.md.

@@ -267,7 +267,7 @@ TEST(AnalyzeCallGraph, DiscoversDefinitionsParamsAndDirectFacts) {
       "}\n"
       "void noisy() { printf(\"x\"); }\n"
       "int declared_only(int a);\n");
-  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({file}, 1);
+  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({file});
   ASSERT_EQ(g.functions().size(), 2u);  // the declaration is not a def
 
   const auto* sink = find_fn(g, "sink");
@@ -303,7 +303,7 @@ TEST(AnalyzeCallGraph, ResolvesByArityAndDegradesToUnknown) {
       "}\n");
   const lrt::analyze::LexedFile b =
       lrt::analyze::lex("b.cpp", "int twin() { return 2; }\n");
-  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({a, b}, 1);
+  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({a, b});
 
   // helper(v) resolves to the unary overload, helper(v, v) to the binary.
   const std::size_t c1 = g.resolve_call(a.tokens, nth_ident(a, "helper", 2),
@@ -332,7 +332,7 @@ TEST(AnalyzeCallGraph, ResolvesByArityAndDegradesToUnknown) {
       "c.cpp", "void f() { Widget twin(2); }\n"
                "int twin(int x) { return x; }\n");
   const lrt::analyze::CallGraph g2 =
-      lrt::analyze::CallGraph::build({c}, 1);
+      lrt::analyze::CallGraph::build({c});
   EXPECT_EQ(g2.resolve_call(c.tokens, nth_ident(c, "twin", 0), 0),
             lrt::analyze::kNoFunction);
 }
@@ -344,7 +344,7 @@ TEST(AnalyzeCallGraph, PropagatesFactsAndWritesBottomUp) {
       "void mid(double& y) { leaf(y); }\n"
       "void top(double& z) { mid(z); }\n"
       "void recurse(int n) { if (n > 0) recurse(n - 1); }\n");
-  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({file}, 1);
+  const lrt::analyze::CallGraph g = lrt::analyze::CallGraph::build({file});
   const auto* top = find_fn(g, "top");
   ASSERT_NE(top, nullptr);
   EXPECT_TRUE(top->allocates.holds);

@@ -82,15 +82,24 @@ TEST(Cli, ParsesValuesAndDefaults) {
 }
 
 TEST(Cli, OptionWithoutValueThrowsNamingIt) {
-  CliParser cli("test");
-  cli.add("n", "4", "count");
-  const char* argv[] = {"prog", "--n"};
-  try {
-    cli.parse(2, argv);
-    FAIL() << "parse accepted --n without a value";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
-        << e.what();
+  // A registered name without a value, and an unknown name without one:
+  // the name is looked up before a value is consumed.
+  const struct {
+    const char* option;
+    const char* message;
+  } cases[] = {{"--n", "option --n expects a value"},
+               {"--bogus", "unknown option --bogus"}};
+  for (const auto& c : cases) {
+    CliParser cli("test");
+    cli.add("n", "4", "count");
+    const char* argv[] = {"prog", c.option};
+    try {
+      cli.parse(2, argv);
+      FAIL() << "parse accepted " << c.option << " without a value";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -191,8 +191,8 @@ void expect_same_clustering(const KMeansResult& a, const KMeansResult& b,
 }
 
 TEST(WeightedKmeans, OneRankCommunicatorIsTheSerialCase) {
-  // Under par::run(1) every seeding runs the serial path: same seeds, same
-  // OpenMP team, same empty-cluster reseeds from the same Rng stream.
+  // Under par::run(1) every seeding runs the serial path: same seeds and
+  // same empty-cluster reseeds from the same Rng stream.
   BlobFixture blobs;
   // Two points share each of the two heaviest positions, so top-weight
   // seeding puts centroids 0 and 1 on one spot: cluster 1 starts empty
@@ -293,8 +293,8 @@ TEST_P(DistKmeansSweep, SingleRankMatchesSerialUpToObjectiveRoundoff) {
         weighted_kmeans(f.points, f.weights, 5, opts, &comm);
     EXPECT_EQ(dist.interpolation_points, serial.interpolation_points);
     EXPECT_EQ(dist.iterations, serial.iterations);
-    // A one-rank communicator runs the serial body with the same OpenMP
-    // team, so even the per-thread objective partials agree.
+    // A one-rank communicator runs the serial body, so the objective's
+    // running sum agrees bit for bit.
     EXPECT_EQ(dist.objective, serial.objective);
   });
 }

@@ -15,10 +15,6 @@
 #include <new>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "dft/synthetic.hpp"
 #include "par/layout.hpp"
 #include "par/runtime.hpp"
@@ -114,12 +110,6 @@ TEST(MemoryFootprint, DistributedImplicitSolveStaysWithinStreamedWorkingSet) {
   const long long baseline = g_live.load();
   g_peak.store(baseline);
   par::run(kRanks, [&](par::Comm& comm) {
-    // One OpenMP thread per rank, the benchmark's layout: GEMM packing
-    // buffers are per thread, so a host-sized team would make the bound
-    // depend on the host's core count.
-#ifdef _OPENMP
-    omp_set_num_threads(1);
-#endif
     const DistDriverStats stats =
         solve_casida_distributed(comm, problem, options);
     EXPECT_EQ(stats.energies.size(), 3u);

@@ -5,13 +5,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/bench_report.hpp"
@@ -20,41 +19,6 @@
 #include "obs/obs.hpp"
 #include "par/comm.hpp"
 #include "par/runtime.hpp"
-
-// Global allocation counter for the zero-allocation test. Replacing
-// operator new/delete clashes with sanitizer interceptors (and GCC's
-// -Wmismatched-new-delete analysis false-positives on the malloc-backed
-// definitions), so instrumented builds skip the counting test instead —
-// the zero-alloc property is only meaningful uninstrumented anyway.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define LRT_TEST_COUNTS_ALLOCATIONS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define LRT_TEST_COUNTS_ALLOCATIONS 0
-#else
-#define LRT_TEST_COUNTS_ALLOCATIONS 1
-#endif
-#else
-#define LRT_TEST_COUNTS_ALLOCATIONS 1
-#endif
-
-#if LRT_TEST_COUNTS_ALLOCATIONS
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // LRT_TEST_COUNTS_ALLOCATIONS
 
 namespace lrt {
 namespace {
@@ -133,16 +97,11 @@ TEST(ObsSpan, DisabledModeRecordsNothingAndDoesNotAllocate) {
   {
     obs::Span warm("warmup");
   }
-#if LRT_TEST_COUNTS_ALLOCATIONS
-  const long long before = g_alloc_count.load(std::memory_order_relaxed);
-#endif
+  const long long before = test::allocation_count();
   for (int i = 0; i < 1000; ++i) {
     obs::Span span("disabled");
   }
-#if LRT_TEST_COUNTS_ALLOCATIONS
-  const long long after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before);
-#endif
+  EXPECT_EQ(test::allocation_count(), before);
   EXPECT_EQ(obs::span_count(), 0u);
 }
 

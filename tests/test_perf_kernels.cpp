@@ -16,10 +16,6 @@
 #include <complex>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "fft/fft1d.hpp"
 #include "fft/fft3d.hpp"
 #include "kmeans/kmeans.hpp"
@@ -792,11 +788,8 @@ void expect_kmeans_bit_identical(const kmeans::KMeansResult& exact,
 class PrunedKmeansSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrunedKmeansSweep, BitIdenticalToExactScan) {
-  // One thread keeps the objective reduction order identical between the
-  // two runs; the per-point terms are bit-identical by construction.
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
+  // The objective is one running sum in point order and the per-point
+  // terms are bit-identical by construction.
   const auto seeding = static_cast<kmeans::Seeding>(GetParam());
   for (const bool clustered : {false, true}) {
     for (const bool periodic : {false, true}) {
@@ -834,9 +827,6 @@ INSTANTIATE_TEST_SUITE_P(
 class PrunedDistKmeansSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrunedDistKmeansSweep, BitIdenticalToExactScan) {
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
   const int p = GetParam();
   const KmeansFixture f = clustered_fixture(1200, 5);
   const Index n = static_cast<Index>(f.points.size());

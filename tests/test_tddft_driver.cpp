@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,6 +22,17 @@ CasidaProblem make_test_problem() {
   opts.seed = 21;
   return make_problem_from_synthetic(
       g, dft::make_synthetic_orbitals(g, 5, 4, opts));
+}
+
+/// The process's thread count from /proc/self/status, or -1 where that
+/// file does not exist.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 class VersionSweep : public ::testing::TestWithParam<Version> {};
@@ -239,6 +251,20 @@ TEST(Driver, ImplicitIsTheSerialIsdfLobpcgComposition) {
           << i << "," << j;
     }
   }
+}
+
+TEST(Driver, SerialSolveLeavesNoThreadsBehind) {
+  // Ranks are the only parallelism: a serial solve runs its one rank and
+  // joins it, and no kernel keeps a thread pool alive after it returns.
+  const CasidaProblem p = make_test_problem();
+  DriverOptions opts;
+  opts.version = Version::kImplicit;
+  opts.num_states = 3;
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  const DriverResult r = solve_casida(p, opts);
+  EXPECT_EQ(r.energies.size(), 3u);
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(Driver, NaiveIsTheExplicitHamiltonianAndDenseSolve) {

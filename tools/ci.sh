@@ -7,9 +7,8 @@
 #               MUST-style verifier ambient (LRT_CHECK=1) to prove the
 #               production collective patterns run clean under checking.
 #   asan+ubsan  -fsanitize=address,undefined, halt on first report.
-#   tsan        -fsanitize=thread. OpenMP is disabled in this flavor:
-#               libgomp is not TSan-instrumented and reports false
-#               positives on its internal barriers.
+#   tsan        -fsanitize=thread, the same code as plain (no binary
+#               links an OpenMP runtime; `omp simd` is compile-time only).
 #               Both sanitizer flavors also run the Fig-8 and Fig-7
 #               bench smokes (bench_fig8_breakdown --smoke, then
 #               bench_fig7_strong_scaling --smoke: the Naive and implicit
@@ -189,8 +188,7 @@ fi
 
 if [ "$do_tsan" -eq 1 ]; then
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    run_flavor tsan build-tsan -DLRT_SANITIZE=thread \
-      -DCMAKE_DISABLE_FIND_PACKAGE_OpenMP=ON
+    run_flavor tsan build-tsan -DLRT_SANITIZE=thread
   echo "=== [tsan] fig8 bench smoke ==="
   mkdir -p build-tsan/bench-smoke
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \

@@ -9,9 +9,6 @@
 #   LRT_LINT_BUILD_DIR  build tree to (re)use for lrt-analyze and
 #                       compile_commands.json (default: build)
 #   LRT_ANALYZE         explicit path to an lrt-analyze binary
-#   LRT_ANALYZE_JOBS    worker threads for the analyzer's per-TU stages
-#                       (default 0 = OpenMP default team size; findings
-#                       are deterministic at any job count)
 #
 # Run from anywhere; exits non-zero on any finding.
 set -u
@@ -51,7 +48,7 @@ if [ -n "$analyze_bin" ]; then
   # the lrt.analyze/1 report is what external CI viewers ingest.
   report_dir="$(dirname "$(dirname "$analyze_bin")")"
   note "lint: running $analyze_bin ..."
-  if ! "$analyze_bin" --repo . --jobs "${LRT_ANALYZE_JOBS:-0}" \
+  if ! "$analyze_bin" --repo . \
          --json "$report_dir/lrt-analyze.json" \
          --sarif "$report_dir/lrt-analyze.sarif"; then
     finding 'lrt-analyze reported new findings (see above)'
@@ -104,6 +101,33 @@ else
     fi
   done < <(find src \( -name '*.cpp' -o -name '*.hpp' \) \
              -not -path 'src/analyze/*' -print0)
+fi
+
+# --- OpenMP gate (always) -----------------------------------------------------
+# Ranks are the only parallelism: kernels are single-threaded and the
+# library builds with -fopenmp-simd, under which GCC silently ignores any
+# other omp directive. So the only OpenMP allowed is `#pragma omp simd`:
+# no other `#pragma omp`, no <omp.h> and no omp_* runtime calls. The
+# analyzer's fixtures are omp-race inputs and stay exempt; the pragma and
+# include patterns are anchored at the start of a line, so fixture strings
+# in tests/test_analyze.cpp do not match, and the call pattern skips
+# src/analyze and that test, which name the analyzer's own omp_race_*
+# helpers.
+omp_sources=(src bench examples tests tools)
+omp_grep() {
+  grep -rnE --include='*.cpp' --include='*.hpp' --include='*.h' \
+    --exclude-dir=analyze_fixtures "$@" "${omp_sources[@]}"
+}
+if omp_grep '^[[:space:]]*#[[:space:]]*pragma[[:space:]]+omp([[:space:]]|$)' \
+    | grep -vE 'pragma[[:space:]]+omp[[:space:]]+simd([[:space:]]|$)'; then
+  finding '#pragma omp other than simd (ranks are the parallelism)'
+fi
+if omp_grep '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]omp\.h[>"]'; then
+  finding '#include <omp.h> (the build has no OpenMP runtime)'
+fi
+if omp_grep '\bomp_[A-Za-z_]+[[:space:]]*\(' \
+    | grep -vE '^(src/analyze/|tests/test_analyze\.cpp:)'; then
+  finding 'omp_* runtime call (the build has no OpenMP runtime)'
 fi
 
 # --- secondary gate: clang-tidy (optional) ------------------------------------

@@ -1,13 +1,10 @@
 // lrt-analyze: the project-specific static gate.
 //
 //   lrt-analyze [check] [--repo DIR] [--json PATH] [--sarif PATH]
-//               [--baseline FILE] [--pass NAME]... [--jobs N] [--verbose]
+//               [--baseline FILE] [--pass NAME]... [--verbose]
 //       Runs every pass (or the selected ones) over src/, tests/, bench/,
 //       examples/ and tools/*.sh. Exit 0 when no *new* findings remain
-//       after inline suppressions and the baseline; 1 otherwise. The
-//       per-TU lex and call-graph stages run on N OpenMP threads
-//       (default: the OpenMP default team size); findings are
-//       deterministic regardless of N.
+//       after inline suppressions and the baseline; 1 otherwise.
 //
 //   lrt-analyze gen-phases [--repo DIR] [--write]
 //       Regenerates src/obs/phase_registry.hpp from src/obs/phases.def
@@ -42,7 +39,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [check] [--repo DIR] [--json PATH] [--sarif PATH]\n"
-      "          [--baseline FILE] [--pass NAME]... [--jobs N] [--verbose]\n"
+      "          [--baseline FILE] [--pass NAME]... [--verbose]\n"
       "       %s gen-phases [--repo DIR] [--write]\n"
       "       %s gen-counters [--repo DIR] [--write]\n"
       "       %s list-passes\n",
@@ -97,7 +94,6 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   std::string baseline_path;
   std::vector<std::string> selected;
-  int jobs = 0;
   bool verbose = false;
   bool gen_phases = false;
   bool gen_counters = false;
@@ -140,19 +136,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       selected.emplace_back(v);
-    } else if (arg == "--jobs" || arg == "-j") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      try {
-        jobs = std::stoi(v);
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "lrt-analyze: --jobs expects an integer\n");
-        return usage(argv[0]);
-      }
-      if (jobs < 0) {
-        std::fprintf(stderr, "lrt-analyze: --jobs expects N >= 0\n");
-        return usage(argv[0]);
-      }
     } else if (arg == "--write") {
       write = true;
     } else if (arg == "--verbose" || arg == "-v") {
@@ -187,7 +170,6 @@ int main(int argc, char** argv) {
 
     lrt::analyze::Config config;
     config.root = root;
-    config.jobs = jobs;
     for (const std::string& name : selected) {
       const auto& names = lrt::analyze::all_pass_names();
       if (std::find(names.begin(), names.end(), name) == names.end()) {
