@@ -57,57 +57,96 @@ double best_of(int reps, F&& body) {
 // ----- GEMM ----------------------------------------------------------------
 
 void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
+  // gemm, gram(A) with A k x m (m = n), or gemm_many over `items` A
+  // operands that share op(B).
+  enum class Op { kGemm, kGram, kMany };
   struct Case {
     Index m, n, k;
     la::Trans ta, tb;
     const char* label;
+    Op op = Op::kGemm;
+    Index items = 1;
   };
+  constexpr la::Trans kN = la::Trans::kNo, kT = la::Trans::kYes;
+  // The SCF band LOBPCG's block products at n = 1728 (Xᵀ Y, gram, X C
+  // for block widths 24 and 72) and the Casida kernel projection's batch
+  // at 4 ranks.
+  const Case tn_skinny{24, 24, 1728, kT, kN, "gemm.tn.24x24x1728"};
   std::vector<Case> cases;
   if (opt.smoke) {
-    cases = {{48, 48, 48, la::Trans::kNo, la::Trans::kNo, "gemm.nn.48"},
-             {64, 64, 64, la::Trans::kNo, la::Trans::kNo, "gemm.nn.64"}};
+    cases = {{48, 48, 48, kN, kN, "gemm.nn.48"},
+             {64, 64, 64, kN, kN, "gemm.nn.64"},
+             tn_skinny};
   } else {
-    cases = {{128, 128, 128, la::Trans::kNo, la::Trans::kNo, "gemm.nn.128"},
-             {256, 256, 256, la::Trans::kNo, la::Trans::kNo, "gemm.nn.256"},
-             {512, 512, 512, la::Trans::kNo, la::Trans::kNo, "gemm.nn.512"},
-             {256, 256, 256, la::Trans::kYes, la::Trans::kNo, "gemm.tn.256"},
-             {256, 256, 256, la::Trans::kNo, la::Trans::kYes, "gemm.nt.256"}};
+    cases = {{128, 128, 128, kN, kN, "gemm.nn.128"},
+             {256, 256, 256, kN, kN, "gemm.nn.256"},
+             {512, 512, 512, kN, kN, "gemm.nn.512"},
+             {256, 256, 256, kT, kN, "gemm.tn.256"},
+             {256, 256, 256, kN, kT, "gemm.nt.256"},
+             tn_skinny,
+             {24, 24, 1728, kT, kN, "gram.1728x24", Op::kGram},
+             {72, 72, 1728, kT, kN, "gram.1728x72", Op::kGram},
+             {1728, 24, 24, kN, kN, "gemm.nn.1728x24x24"},
+             {1728, 72, 72, kN, kN, "gemm.nn.1728x72x72"},
+             {27, 432, 1024, kT, kN, "gemm_many.tn.4x27x432x1024", Op::kMany,
+              4}};
   }
   const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
 
   for (const Case& c : cases) {
     Rng rng(static_cast<unsigned>(c.m + 2 * c.k));
-    const la::RealMatrix a =
-        (c.ta == la::Trans::kNo)
-            ? la::RealMatrix::random_uniform(c.m, c.k, rng)
-            : la::RealMatrix::random_uniform(c.k, c.m, rng);
+    std::vector<la::RealMatrix> as;
+    for (Index q = 0; q < c.items; ++q) {
+      as.push_back((c.ta == la::Trans::kNo)
+                       ? la::RealMatrix::random_uniform(c.m, c.k, rng)
+                       : la::RealMatrix::random_uniform(c.k, c.m, rng));
+    }
+    const la::RealMatrix& a = as.front();
     const la::RealMatrix b =
         (c.tb == la::Trans::kNo)
             ? la::RealMatrix::random_uniform(c.k, c.n, rng)
             : la::RealMatrix::random_uniform(c.n, c.k, rng);
-    la::RealMatrix out(c.m, c.n);
+    // gram's second operand is A itself.
+    const la::RealConstView bv = c.op == Op::kGram ? a.view() : b.view();
+    std::vector<la::RealMatrix> outs(static_cast<std::size_t>(c.items),
+                                     la::RealMatrix(c.m, c.n));
+    std::vector<la::GemmBatchItem> batch;
+    for (Index q = 0; q < c.items; ++q) {
+      batch.push_back({as[q].view(), outs[q].view()});
+    }
 
-    const double flops = la::gemm_flops(c.m, c.n, c.k);
+    const double items = static_cast<double>(c.items);
+    const double flops = items * la::gemm_flops(c.m, c.n, c.k);
     // Compulsory traffic per output element: read A and B once, read and
     // write C, amortized over the m*n outputs.
     const double bytes_per_point =
         8.0 *
-        (static_cast<double>(c.m) * static_cast<double>(c.k) +
+        (items * static_cast<double>(c.m) * static_cast<double>(c.k) +
          static_cast<double>(c.k) * static_cast<double>(c.n) +
-         2.0 * static_cast<double>(c.m) * static_cast<double>(c.n)) /
-        (static_cast<double>(c.m) * static_cast<double>(c.n));
+         2.0 * items * static_cast<double>(c.m) * static_cast<double>(c.n)) /
+        (items * static_cast<double>(c.m) * static_cast<double>(c.n));
 
     const double sec_new = best_of(reps, [&] {
-      la::gemm(c.ta, c.tb, 1.0, a.view(), b.view(), 0.0, out.view());
+      switch (c.op) {
+        case Op::kGemm:
+          la::gemm(c.ta, c.tb, 1.0, a.view(), bv, 0.0, outs[0].view());
+          break;
+        case Op::kGram:
+          outs[0] = la::gram(a.view());
+          break;
+        case Op::kMany:
+          la::gemm_many(c.ta, c.tb, 1.0, batch, bv, 0.0);
+          break;
+      }
     });
     double sec_ref = 0;
     if (opt.compare) {
       sec_ref = best_of(reps, [&] {
-        la::gemm_reference(c.ta, c.tb, 1.0, a.view(), b.view(), 0.0,
-                           out.view());
+        for (const la::GemmBatchItem& item : batch) {
+          la::gemm_reference(c.ta, c.tb, 1.0, item.a, bv, 0.0, item.c);
+        }
       });
     }
-
     const double gflops_new = flops / sec_new / 1e9;
     table.row()
         .cell(c.label)
@@ -118,11 +157,15 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
         .cell(opt.compare ? format_real(sec_ref / sec_new, 2) + "x" : "-");
 
     obs::BenchReport::Record& rec = report.record(c.label);
-    rec.param("kernel", "gemm")
+    const char* kernel = c.op == Op::kGram   ? "gram"
+                         : c.op == Op::kMany ? "gemm_many"
+                                             : "gemm";
+    rec.param("kernel", kernel)
         .param("path", "new")
         .param("m", static_cast<long long>(c.m))
         .param("n", static_cast<long long>(c.n))
         .param("k", static_cast<long long>(c.k))
+        .param("items", static_cast<long long>(c.items))
         .param("threads", 1LL)
         .metric("seconds_best", sec_new)
         .metric("gflops", gflops_new)
@@ -135,6 +178,7 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
           .param("m", static_cast<long long>(c.m))
           .param("n", static_cast<long long>(c.n))
           .param("k", static_cast<long long>(c.k))
+          .param("items", static_cast<long long>(c.items))
           .param("threads", 1LL)
           .metric("seconds_best", sec_ref)
           .metric("gflops", flops / sec_ref / 1e9)

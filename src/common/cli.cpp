@@ -7,6 +7,23 @@
 #include "common/error.hpp"
 
 namespace lrt {
+namespace {
+
+std::optional<long long> parse_integer(const std::string& value) {
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0') return std::nullopt;
+  return parsed;
+}
+
+std::optional<double> parse_number(const std::string& value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0') return std::nullopt;
+  return parsed;
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string description)
     : description_(std::move(description)) {}
@@ -15,7 +32,10 @@ CliParser& CliParser::add(const std::string& name,
                           const std::string& default_value,
                           const std::string& help) {
   LRT_CHECK(!options_.count(name), "duplicate option --" << name);
-  options_[name] = Option{default_value, default_value, help};
+  const Kind kind = parse_integer(default_value)  ? Kind::kInteger
+                    : parse_number(default_value) ? Kind::kNumber
+                                                  : Kind::kText;
+  options_[name] = Option{kind, default_value, default_value, help};
   order_.push_back(name);
   return *this;
 }
@@ -42,6 +62,13 @@ void CliParser::parse(int argc, const char* const* argv) {
       it->second.value = argv[++i];
     } else {
       throw Error("option --" + name + " expects a value");
+    }
+    const std::string& value = it->second.value;
+    if (it->second.kind == Kind::kInteger && !parse_integer(value)) {
+      throw Error("option --" + name + ": '" + value + "' is not an integer");
+    }
+    if (it->second.kind == Kind::kNumber && !parse_number(value)) {
+      throw Error("option --" + name + ": '" + value + "' is not a number");
     }
   }
 }
@@ -79,20 +106,18 @@ std::string CliParser::get(const std::string& name) const {
 
 Index CliParser::get_index(const std::string& name) const {
   const std::string value = get(name);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  LRT_CHECK(end && *end == '\0',
+  const std::optional<long long> parsed = parse_integer(value);
+  LRT_CHECK(parsed,
             "option --" << name << ": '" << value << "' is not an integer");
-  return static_cast<Index>(parsed);
+  return static_cast<Index>(*parsed);
 }
 
 Real CliParser::get_real(const std::string& name) const {
   const std::string value = get(name);
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  LRT_CHECK(end && *end == '\0',
+  const std::optional<double> parsed = parse_number(value);
+  LRT_CHECK(parsed,
             "option --" << name << ": '" << value << "' is not a number");
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace lrt

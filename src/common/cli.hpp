@@ -1,9 +1,11 @@
 // Tiny command-line option parser for the examples and bench drivers.
 //
 // Supports the `--name value` and `--name=value` forms; every option
-// takes a value.
-// Unknown options raise an error, which parse_main() prints with the
-// usage, so examples fail loudly instead of silently ignoring typos.
+// takes a value. An option whose default is an integer (or a number)
+// only accepts integers (numbers).
+// Unknown options and malformed values raise an error, which
+// parse_main() prints with the usage, so examples fail loudly instead of
+// silently ignoring typos.
 #pragma once
 
 #include <map>
@@ -21,11 +23,12 @@ class CliParser {
   explicit CliParser(std::string description);
 
   /// Registers an option with a default value; returns *this for chaining.
+  /// The default's form sets the option's type: integer, number or text.
   CliParser& add(const std::string& name, const std::string& default_value,
                  const std::string& help);
 
-  /// Parses argv. Throws lrt::Error on unknown or malformed options.
-  /// Recognizes --help.
+  /// Parses argv. Throws lrt::Error on unknown or malformed options and
+  /// on a value that is not of its option's type. Recognizes --help.
   void parse(int argc, const char* const* argv);
 
   /// parse() for a program's main(). Returns the exit status when the
@@ -42,7 +45,9 @@ class CliParser {
   Real get_real(const std::string& name) const;
 
  private:
+  enum class Kind { kInteger, kNumber, kText };
   struct Option {
+    Kind kind;
     std::string default_value;
     std::string value;
     std::string help;

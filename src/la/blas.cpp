@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "la/tuning.hpp"
@@ -18,220 +21,402 @@ namespace {
 // ---------------------------------------------------------------------------
 // Packed micro-kernel GEMM (docs/PERFORMANCE.md §1).
 //
-// BLIS-style blocking: op(B) panels of kc x nc are packed once into
-// column micro-panels of width kNr, op(A) blocks of mc x kc are packed
-// (alpha folded in) into row micro-panels of height kMr, and a register-
-// tiled kMr x kNr micro-kernel accumulates C. Packing absorbs all four
-// transpose cases, so nn/tn/nt/tt share one inner kernel. Block sizes
-// are picked once at runtime from the machine's cache sizes.
+// BLIS-style blocking: op(B) is cut into kc x nc blocks of Nr-wide column
+// micro-panels, op(A) into mc x kc blocks of Mr-tall row micro-panels, and
+// a register-tiled Mr x Nr micro-kernel adds the product of each panel
+// pair into C. A full panel whose layout already gives the kernel unit-
+// stride vectors is read in place when few tiles use it (A's only when
+// alpha = +-1); any other panel is packed into a contiguous, zero-padded
+// buffer, alpha folded into A's. All four transpose cases share the one
+// kernel. Block sizes follow the machine's cache sizes.
+//
+// The bit contract, which no tile shape or panel source changes: per kc
+// block in order, each C element gets a zero-started chain over ascending
+// p of (alpha a) b, fused exactly when gemm_fuses_multiply_add() says so,
+// and that block partial is then added to C.
 // ---------------------------------------------------------------------------
 
-constexpr Index kMr = 6;  ///< micro-tile rows (C register rows)
-constexpr Index kNr = 8;  ///< micro-tile cols (one or two SIMD vectors)
+constexpr Index kKc = 256;  ///< reduction depth of one block
+
+// The kernel ISA is picked at runtime; the baseline build stays generic
+// x86-64. The TSan flavor builds only the generic kernel, so CI also
+// checks the contract of the path that does not fuse.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target)
+#define LRT_GEMM_ISA_DISPATCH 1
+#endif
+#endif
+
+/// One micro-tile: element (r, p) of the A panel is a[r * a_rs + p * a_ps],
+/// element (p, j) of the B panel is b[p * b_ps + j], and the tile's live
+/// mr x nr part is added into C at c (row stride ldc).
+struct TileArgs {
+  Index kcur;
+  const Real* a;
+  Index a_rs, a_ps;
+  const Real* b;
+  Index b_ps;
+  Real* c;
+  Index ldc, mr, nr;
+};
+using TileFn = void (*)(const TileArgs&);
+
+/// The Mr x Nr register tile over W-wide vectors. kUnitRows fixes
+/// a_rs = 1 (packed panels, and op(A) = Aᵀ in place). kNeg applies
+/// alpha = -1 to an in-place A panel by subtracting each product:
+/// (-a) b rounds to -(a b), fused or not, so every chain is unchanged.
+template <Index Mr, Index Nr, Index W, bool kUnitRows, bool kNeg>
+[[gnu::always_inline]] inline void tile_body(const TileArgs& t) {
+  typedef Real Vec __attribute__((vector_size(W * sizeof(Real))));
+  constexpr Index kVecs = Nr / W;
+  Vec acc[Mr][kVecs] = {};
+  const Index rs = kUnitRows ? 1 : t.a_rs;
+  const Real* a = t.a;
+  const Real* b = t.b;
+  for (Index p = 0; p < t.kcur; ++p) {
+    Vec bv[kVecs];
+#pragma GCC unroll 4
+    for (Index v = 0; v < kVecs; ++v) {
+      std::memcpy(&bv[v], b + v * W, sizeof(Vec));
+    }
+#pragma GCC unroll 8
+    for (Index r = 0; r < Mr; ++r) {
+      const Real ar = a[r * rs];
+#pragma GCC unroll 4
+      for (Index v = 0; v < kVecs; ++v) {
+        if constexpr (kNeg) {
+          acc[r][v] -= ar * bv[v];
+        } else {
+          acc[r][v] += ar * bv[v];
+        }
+      }
+    }
+    a += t.a_ps;
+    b += t.b_ps;
+  }
+  if (t.nr == Nr) {
+#pragma GCC unroll 8
+    for (Index r = 0; r < Mr; ++r) {
+      if (r == t.mr) break;
+      Real* cr = t.c + r * t.ldc;
+#pragma GCC unroll 4
+      for (Index v = 0; v < kVecs; ++v) {
+        Vec cv;
+        std::memcpy(&cv, cr + v * W, sizeof(Vec));
+        cv += acc[r][v];
+        std::memcpy(cr + v * W, &cv, sizeof(Vec));
+      }
+    }
+  } else {
+    Real tile[Mr][Nr];
+    std::memcpy(tile, acc, sizeof tile);
+    for (Index r = 0; r < t.mr; ++r) {
+      for (Index j = 0; j < t.nr; ++j) t.c[r * t.ldc + j] += tile[r][j];
+    }
+  }
+}
+
+/// The four tile functions of one shape: [A rows at unit stride][products
+/// subtracted].
+struct TileSet {
+  Index mr, nr;
+  TileFn fn[2][2];
+};
+
+#ifdef LRT_GEMM_ISA_DISPATCH
+// AVX-512: an 8 x 24 tile keeps 24 zmm accumulators, 24 independent FMA
+// chains, and loads three B vectors and eight A values per 24 FMAs; an
+// 8 x 8 tile serves products narrower than 24 columns. AVX2's 16 ymm
+// registers hold a 6 x 8 tile.
+template <Index Nr, bool kUnitRows, bool kNeg>
+__attribute__((target("avx512f"))) void tile_avx512(const TileArgs& t) {
+  tile_body<8, Nr, 8, kUnitRows, kNeg>(t);
+}
+template <bool kUnitRows, bool kNeg>
+__attribute__((target("avx2,fma"))) void tile_avx2(const TileArgs& t) {
+  tile_body<6, 8, 4, kUnitRows, kNeg>(t);
+}
+#endif
+template <bool kUnitRows, bool kNeg>
+void tile_generic(const TileArgs& t) {
+  tile_body<6, 8, 2, kUnitRows, kNeg>(t);
+}
+
+/// The micro-kernel of this process: a tile for products at least
+/// `wide.nr` columns wide and one for narrower products (the same tile
+/// where the ISA has one).
+struct Kernel {
+  bool fused;  ///< each multiply-add rounds once
+  TileSet wide, narrow;
+};
+
+Kernel pick_kernel() {
+#ifdef LRT_GEMM_ISA_DISPATCH
+  if (__builtin_cpu_supports("avx512f")) {
+    return {true,
+            {8, 24,
+             {{tile_avx512<24, false, false>, tile_avx512<24, false, true>},
+              {tile_avx512<24, true, false>, tile_avx512<24, true, true>}}},
+            {8, 8,
+             {{tile_avx512<8, false, false>, tile_avx512<8, false, true>},
+              {tile_avx512<8, true, false>, tile_avx512<8, true, true>}}}};
+  }
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    const TileSet avx2{6, 8,
+                       {{tile_avx2<false, false>, tile_avx2<false, true>},
+                        {tile_avx2<true, false>, tile_avx2<true, true>}}};
+    return {true, avx2, avx2};
+  }
+#endif
+#ifdef __FP_FAST_FMA
+  constexpr bool kBaselineFma = true;  // the compiler contracts a * b + c
+#else
+  constexpr bool kBaselineFma = false;
+#endif
+  const TileSet generic{6, 8,
+                        {{tile_generic<false, false>, tile_generic<false, true>},
+                         {tile_generic<true, false>, tile_generic<true, true>}}};
+  return {kBaselineFma, generic, generic};
+}
+
+const Kernel& kernel() {
+  static const Kernel k = pick_kernel();
+  return k;
+}
 
 struct Blocking {
-  Index mc;  ///< rows of the packed A block (held in L2)
-  Index kc;  ///< reduction depth of one packing pass
-  Index nc;  ///< cols of the packed B panel (held in L3)
+  Index mc;  ///< rows of an op(A) block (held in L2)
+  Index nc;  ///< cols of an op(B) block (held in L3)
 };
 
 Index round_down_multiple(Index v, Index m) { return std::max(m, v - v % m); }
+Index round_up_multiple(Index v, Index m) { return (v + m - 1) / m * m; }
 
-/// One-time runtime pick of the L2/L3 block parameters. Falls back to
-/// conservative defaults when the cache hierarchy is not reported.
-Blocking pick_blocking() {
-  long long l2 = 0, l3 = 0;
+/// L2 and L3 bytes, read once. Falls back to conservative defaults when
+/// the cache hierarchy is not reported.
+const std::pair<Index, Index>& cache_bytes() {
+  static const std::pair<Index, Index> bytes = [] {
+    long long l2 = 0, l3 = 0;
 #if defined(_SC_LEVEL2_CACHE_SIZE)
-  l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
 #endif
 #if defined(_SC_LEVEL3_CACHE_SIZE)
-  l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
 #endif
-  if (l2 <= 0) l2 = 512 * 1024;
-  if (l3 <= 0) l3 = 8 * 1024 * 1024;
-  Blocking b;
-  b.kc = 256;
+    return std::pair<Index, Index>{l2 > 0 ? l2 : 512 * 1024,
+                                   l3 > 0 ? l3 : 8 * 1024 * 1024};
+  }();
+  return bytes;
+}
+
+/// Block sizes for an Mr x Nr tile.
+Blocking blocking(Index mr, Index nr) {
+  constexpr Index kPanelBytes = kKc * static_cast<Index>(sizeof(Real));
+  const auto [l2, l3] = cache_bytes();
   // The packed A block (mc x kc doubles) should fill about half of L2,
-  // leaving room for the streaming B micro-panel and C rows.
-  const Index mc_fit = static_cast<Index>(
-      l2 / 2 / (b.kc * static_cast<Index>(sizeof(Real))));
-  b.mc = std::clamp(round_down_multiple(mc_fit, kMr), kMr, Index{512});
-  // The packed B panel (kc x nc) targets half of L3.
-  const Index nc_fit = static_cast<Index>(
-      l3 / 2 / (b.kc * static_cast<Index>(sizeof(Real))));
-  b.nc = std::clamp(round_down_multiple(nc_fit, kNr), kNr, Index{8192});
-  return b;
+  // leaving room for the streaming B micro-panel and C rows; the packed B
+  // block (kc x nc) targets half of L3.
+  return {std::clamp(round_down_multiple(l2 / 2 / kPanelBytes, mr), mr,
+                     round_down_multiple(512, mr)),
+          std::clamp(round_down_multiple(l3 / 2 / kPanelBytes, nr), nr,
+                     round_down_multiple(8192, nr))};
 }
 
-const Blocking& blocking() {
-  static const Blocking b = pick_blocking();
-  return b;
-}
-
-/// Packs one mr x kcur micro-panel of alpha * op(A) (zero-padded to kMr
-/// rows) as kcur groups of kMr consecutive values.
+/// Packs one mr x kcur micro-panel of alpha * op(A) (zero-padded to Mr
+/// rows) as kcur groups of Mr consecutive values.
+template <Index Mr>
 void pack_a_panel(RealConstView a, bool trans, Index i0, Index mr, Index p0,
                   Index kcur, Real alpha, Real* dst) {
   if (!trans) {
     for (Index i = 0; i < mr; ++i) {
       const Real* src = a.row_ptr(i0 + i) + p0;
-      for (Index p = 0; p < kcur; ++p) dst[p * kMr + i] = alpha * src[p];
+      for (Index p = 0; p < kcur; ++p) dst[p * Mr + i] = alpha * src[p];
     }
-    for (Index i = mr; i < kMr; ++i) {
-      for (Index p = 0; p < kcur; ++p) dst[p * kMr + i] = Real{0};
+    for (Index i = mr; i < Mr; ++i) {
+      for (Index p = 0; p < kcur; ++p) dst[p * Mr + i] = Real{0};
+    }
+  } else if (mr == Mr) {
+    for (Index p = 0; p < kcur; ++p) {
+      const Real* src = a.row_ptr(p0 + p) + i0;
+      Real* d = dst + p * Mr;
+#pragma omp simd
+      for (Index i = 0; i < Mr; ++i) d[i] = alpha * src[i];
     }
   } else {
     for (Index p = 0; p < kcur; ++p) {
       const Real* src = a.row_ptr(p0 + p) + i0;
-      Real* d = dst + p * kMr;
+      Real* d = dst + p * Mr;
       for (Index i = 0; i < mr; ++i) d[i] = alpha * src[i];
-      for (Index i = mr; i < kMr; ++i) d[i] = Real{0};
+      for (Index i = mr; i < Mr; ++i) d[i] = Real{0};
     }
   }
 }
 
-/// Packs one kcur x nr micro-panel of op(B) (zero-padded to kNr cols) as
-/// kcur groups of kNr consecutive values.
+/// Packs one kcur x nr micro-panel of op(B) (zero-padded to Nr cols) as
+/// kcur groups of Nr consecutive values.
+template <Index Nr>
 void pack_b_panel(RealConstView b, bool trans, Index p0, Index kcur, Index j0,
                   Index nr, Real* dst) {
-  if (!trans) {
+  if (!trans && nr == Nr) {
+    for (Index p = 0; p < kcur; ++p) {
+      std::memcpy(dst + p * Nr, b.row_ptr(p0 + p) + j0, Nr * sizeof(Real));
+    }
+  } else if (!trans) {
     for (Index p = 0; p < kcur; ++p) {
       const Real* src = b.row_ptr(p0 + p) + j0;
-      Real* d = dst + p * kNr;
+      Real* d = dst + p * Nr;
       for (Index j = 0; j < nr; ++j) d[j] = src[j];
-      for (Index j = nr; j < kNr; ++j) d[j] = Real{0};
+      for (Index j = nr; j < Nr; ++j) d[j] = Real{0};
     }
   } else {
     for (Index j = 0; j < nr; ++j) {
       const Real* src = b.row_ptr(j0 + j) + p0;
-      for (Index p = 0; p < kcur; ++p) dst[p * kNr + j] = src[p];
+      for (Index p = 0; p < kcur; ++p) dst[p * Nr + j] = src[p];
     }
-    for (Index j = nr; j < kNr; ++j) {
-      for (Index p = 0; p < kcur; ++p) dst[p * kNr + j] = Real{0};
-    }
-  }
-}
-
-/// Register-tiled kMr x kNr accumulation over a packed panel pair. The
-/// accumulator array is small enough to live entirely in SIMD registers;
-/// target_clones picks the widest ISA the machine actually has (the
-/// baseline build stays generic x86-64, so the pick happens at load
-/// time, not compile time). Disabled under TSan: the multi-versioned
-/// symbol's IFUNC resolver runs during relocation, before the TSan
-/// runtime has initialized, and segfaults every binary linking this TU.
-#if defined(__x86_64__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-__attribute__((target_clones("avx512f", "avx2,fma", "default")))
-#endif
-#endif
-void micro_kernel(Index kcur, const Real* __restrict ap,
-                  const Real* __restrict bp,
-                  Real* __restrict acc /* kMr * kNr */) {
-  for (Index p = 0; p < kcur; ++p) {
-    const Real a0 = ap[0];
-    const Real a1 = ap[1];
-    const Real a2 = ap[2];
-    const Real a3 = ap[3];
-    const Real a4 = ap[4];
-    const Real a5 = ap[5];
-#pragma omp simd
-    for (Index j = 0; j < kNr; ++j) {
-      const Real bj = bp[j];
-      acc[0 * kNr + j] += a0 * bj;
-      acc[1 * kNr + j] += a1 * bj;
-      acc[2 * kNr + j] += a2 * bj;
-      acc[3 * kNr + j] += a3 * bj;
-      acc[4 * kNr + j] += a4 * bj;
-      acc[5 * kNr + j] += a5 * bj;
-    }
-    ap += kMr;
-    bp += kNr;
-  }
-}
-
-/// One (jc, pc) block step for rows [ic, ic + mcur) of C: packs those
-/// rows of alpha * op(A) and adds their product with the npanels packed B
-/// panels at `bpack` (columns from jc) into C. With `lower_only`, micro-
-/// tiles lying entirely above C's diagonal are skipped.
-void multiply_block(RealConstView a, bool ta, Real alpha, Index ic,
-                    Index mcur, Index pc, Index kcur, const Real* bpack,
-                    Index jc, Index npanels, RealView c, Real* apack,
-                    bool lower_only) {
-  const Index m = c.rows(), n = c.cols();
-  const Index mpanels = (mcur + kMr - 1) / kMr;
-  for (Index ip = 0; ip < mpanels; ++ip) {
-    const Index i0 = ic + ip * kMr;
-    pack_a_panel(a, ta, i0, std::min(kMr, m - i0), pc, kcur, alpha,
-                 apack + ip * kcur * kMr);
-  }
-  for (Index jp = 0; jp < npanels; ++jp) {
-    const Real* bpan = bpack + jp * kcur * kNr;
-    const Index j0 = jc + jp * kNr;
-    const Index nr = std::min(kNr, n - j0);
-    for (Index ip = 0; ip < mpanels; ++ip) {
-      const Index i0 = ic + ip * kMr;
-      const Index mr = std::min(kMr, m - i0);
-      if (lower_only && i0 + mr <= j0) continue;
-      Real acc[kMr * kNr] = {};
-      micro_kernel(kcur, apack + ip * kcur * kMr, bpan, acc);
-      if (mr == kMr && nr == kNr) {
-        for (Index i = 0; i < kMr; ++i) {
-          Real* ci = c.row_ptr(i0 + i) + j0;
-          const Real* ai = acc + i * kNr;
-#pragma omp simd
-          for (Index j = 0; j < kNr; ++j) ci[j] += ai[j];
-        }
-      } else {
-        for (Index i = 0; i < mr; ++i) {
-          Real* ci = c.row_ptr(i0 + i) + j0;
-          const Real* ai = acc + i * kNr;
-          for (Index j = 0; j < nr; ++j) ci[j] += ai[j];
-        }
-      }
+    for (Index j = nr; j < Nr; ++j) {
+      for (Index p = 0; p < kcur; ++p) dst[p * Nr + j] = Real{0};
     }
   }
 }
 
-/// C_i += alpha * op(A_i) op(B) through the packed micro-kernel for
-/// every item: each op(B) panel is packed once and shared by all items.
-/// With `lower_only` (square C), only micro-tiles that touch C's lower
-/// triangle are computed; the strict upper triangle is left partial.
-void gemm_packed(bool ta, bool tb, Real alpha,
-                 std::span<const GemmBatchItem> items, RealConstView b,
-                 bool lower_only = false) {
+/// Where the kernel reads one A micro-panel, and how (see TileArgs).
+struct APanel {
+  const Real* ptr;
+  Index rs, ps;
+  TileFn tile;
+};
+
+/// Where the kernel reads one B micro-panel (see TileArgs).
+struct BPanel {
+  const Real* ptr;
+  Index ps;
+};
+
+/// C_i += alpha * op(A_i) op(B) with Mr x Nr tiles for every item: each
+/// op(B) panel is packed (or found in place) once and shared by all
+/// items. `gram` (one item, A = B, ta, alpha = 1) computes only the
+/// micro-tiles that touch C's lower triangle, leaving the strict upper
+/// triangle partial, and with square tiles takes each A panel from the
+/// matching B panel, so A is packed at most once.
+template <Index Mr, Index Nr>
+void gemm_tiles(const TileSet& tiles, bool ta, bool tb, Real alpha,
+                std::span<const GemmBatchItem> items, RealConstView b,
+                bool gram) {
   const Index n = tb ? b.rows() : b.cols();
   const Index k = tb ? b.cols() : b.rows();
-  Index m_max = 0;
+  Index m_max = 0, a_panels = 0;
   for (const GemmBatchItem& item : items) {
     m_max = std::max(m_max, item.c.rows());
+    a_panels += (item.c.rows() + Mr - 1) / Mr;
   }
-  const Blocking& blk = blocking();
+  const Blocking blk = blocking(Mr, Nr);
+  // A full panel is read in place when few tiles use it: an A panel when
+  // the kernel can apply alpha, a B panel when its columns are contiguous.
+  const bool b_in_place = !tb && a_panels <= kInPlacePanelMaxUses;
+  const bool a_in_place = (alpha == Real{1} || alpha == Real{-1}) &&
+                          (n + Nr - 1) / Nr <= kInPlacePanelMaxUses;
+  const TileFn in_place_tile = tiles.fn[ta][alpha == Real{-1}];
+  const TileFn packed_tile = tiles.fn[1][0];
+  const bool share = gram && Mr == Nr && n <= blk.nc;
 
-  const Index nc_max = std::min(((n + kNr - 1) / kNr) * kNr, blk.nc);
-  const Index mc_max = std::min(((m_max + kMr - 1) / kMr) * kMr, blk.mc);
-  const Index kc_max = std::min(k, blk.kc);
-  std::vector<Real> bpack(static_cast<std::size_t>(nc_max * kc_max));
-  std::vector<Real> apack(static_cast<std::size_t>(mc_max * kc_max));
+  const Index nc_max = std::min(round_up_multiple(n, Nr), blk.nc);
+  const Index mc_max = std::min(round_up_multiple(m_max, Mr), blk.mc);
+  const Index kc_max = std::min(k, kKc);
+  // Packing buffers are per call and allocated at first use.
+  std::unique_ptr<Real[]> bpack, apack;
+  std::vector<BPanel> bpanels(static_cast<std::size_t>(nc_max / Nr));
+  std::vector<APanel> apanels(static_cast<std::size_t>(mc_max / Mr));
   for (Index jc = 0; jc < n; jc += blk.nc) {
     const Index ncur = std::min(blk.nc, n - jc);
-    const Index npanels = (ncur + kNr - 1) / kNr;
-    for (Index pc = 0; pc < k; pc += blk.kc) {
-      const Index kcur = std::min(blk.kc, k - pc);
+    const Index npanels = (ncur + Nr - 1) / Nr;
+    for (Index pc = 0; pc < k; pc += kKc) {
+      const Index kcur = std::min(kKc, k - pc);
       for (Index jp = 0; jp < npanels; ++jp) {
-        const Index j0 = jc + jp * kNr;
-        pack_b_panel(b, tb, pc, kcur, j0, std::min(kNr, n - j0),
-                     bpack.data() + jp * kcur * kNr);
+        const Index j0 = jc + jp * Nr;
+        const Index nr = std::min(Nr, n - j0);
+        if (b_in_place && nr == Nr) {
+          bpanels[jp] = {b.row_ptr(pc) + j0, b.ld()};
+          continue;
+        }
+        if (!bpack) bpack = std::make_unique_for_overwrite<Real[]>(
+                        static_cast<std::size_t>(nc_max * kc_max));
+        Real* dst = bpack.get() + jp * kcur * Nr;
+        pack_b_panel<Nr>(b, tb, pc, kcur, j0, nr, dst);
+        bpanels[jp] = {dst, Nr};
       }
       for (const GemmBatchItem& item : items) {
-        const Index m = item.c.rows();
+        const RealConstView a = item.a;
+        const RealView c = item.c;
+        const Index m = c.rows();
         for (Index ic = 0; ic < m; ic += blk.mc) {
-          multiply_block(item.a, ta, alpha, ic, std::min(blk.mc, m - ic), pc,
-                         kcur, bpack.data(), jc, npanels, item.c,
-                         apack.data(), lower_only);
+          const Index mpanels = (std::min(blk.mc, m - ic) + Mr - 1) / Mr;
+          for (Index ip = 0; ip < mpanels; ++ip) {
+            const Index i0 = ic + ip * Mr;
+            const Index mr = std::min(Mr, m - i0);
+            if (share) {
+              const BPanel& bp = bpanels[i0 / Nr];
+              apanels[ip] = {bp.ptr, 1, bp.ps, packed_tile};
+              continue;
+            }
+            if (a_in_place && mr == Mr) {
+              apanels[ip] = ta ? APanel{a.row_ptr(pc) + i0, 1, a.ld(),
+                                        in_place_tile}
+                               : APanel{a.row_ptr(i0) + pc, a.ld(), 1,
+                                        in_place_tile};
+              continue;
+            }
+            if (!apack) apack = std::make_unique_for_overwrite<Real[]>(
+                            static_cast<std::size_t>(mc_max * kc_max));
+            Real* dst = apack.get() + ip * kcur * Mr;
+            pack_a_panel<Mr>(a, ta, i0, mr, pc, kcur, alpha, dst);
+            apanels[ip] = {dst, 1, Mr, packed_tile};
+          }
+          const auto tile = [&](Index ip, Index jp) {
+            const Index i0 = ic + ip * Mr;
+            const Index j0 = jc + jp * Nr;
+            const Index mr = std::min(Mr, m - i0);
+            if (gram && i0 + mr <= j0) return;
+            const APanel& ap = apanels[ip];
+            const BPanel& bp = bpanels[jp];
+            ap.tile({kcur, ap.ptr, ap.rs, ap.ps, bp.ptr, bp.ps,
+                     c.row_ptr(i0) + j0, c.ld(), mr, std::min(Nr, n - j0)});
+          };
+          if (npanels * kcur * Nr * Index{sizeof(Real)} <= kL1BlockBytes) {
+            // Skinny op(B): its panels stay in L1 together, so C is swept
+            // one A panel at a time and each A panel is read once.
+            for (Index ip = 0; ip < mpanels; ++ip) {
+              for (Index jp = 0; jp < npanels; ++jp) tile(ip, jp);
+            }
+          } else {
+            // One B panel stays in L1 while the A block streams from L2.
+            for (Index jp = 0; jp < npanels; ++jp) {
+              for (Index ip = 0; ip < mpanels; ++ip) tile(ip, jp);
+            }
+          }
         }
       }
     }
+  }
+}
+
+/// gemm_tiles with the process's tile for this product; the packing
+/// layout follows the tile, so a call picks both together. `gram` takes
+/// the narrow tile: square tiles skip more of the upper triangle and
+/// share their panels between A and B.
+void gemm_packed(bool ta, bool tb, Real alpha,
+                 std::span<const GemmBatchItem> items, RealConstView b,
+                 bool gram = false) {
+  const Kernel& kern = kernel();
+  const Index n = tb ? b.rows() : b.cols();
+  const TileSet& tiles =
+      gram || n < kern.wide.nr ? kern.narrow : kern.wide;
+  if (tiles.nr == 24) {
+    gemm_tiles<8, 24>(tiles, ta, tb, alpha, items, b, gram);
+  } else if (tiles.mr == 8) {
+    gemm_tiles<8, 8>(tiles, ta, tb, alpha, items, b, gram);
+  } else {
+    gemm_tiles<6, 8>(tiles, ta, tb, alpha, items, b, gram);
   }
 }
 
@@ -389,6 +574,8 @@ void scale_c(Real beta, RealView c) {
 
 }  // namespace
 
+bool gemm_fuses_multiply_add() { return kernel().fused; }
+
 Real dot(const Real* x, const Real* y, Index n) {
   Real sum = 0.0;
 #pragma omp simd reduction(+ : sum)
@@ -515,7 +702,7 @@ RealMatrix gram(RealConstView a) {
   // touching the lower triangle are computed.
   if (count_gemm(n, n, m)) {
     const GemmBatchItem item{a, g.view()};
-    gemm_packed(true, false, Real{1}, {&item, 1}, a, /*lower_only=*/true);
+    gemm_packed(true, false, Real{1}, {&item, 1}, a, /*gram=*/true);
   } else {
     // gemm_small_tn restricted to j <= i.
     for (Index kk = 0; kk < m; ++kk) {

@@ -58,11 +58,12 @@ struct GemmBatchItem {
 };
 
 /// C_i = alpha * op(A_i) * op(B) + beta * C_i for every item. op(B) is
-/// packed once per cache block and all A panels stream through the packed
-/// micro-kernel, amortizing the packing cost that sends individually
-/// small gemm calls to the scalar fallback. Always takes the packed path;
-/// each item's result is bitwise identical to a packed gemm() of the same
-/// shapes (identical blocking, packing, and accumulation order).
+/// packed (or read in place) once per cache block and all A panels
+/// stream through the packed micro-kernel, amortizing the packing cost
+/// that sends individually small gemm calls to the scalar fallback.
+/// Always takes the packed path; each item's result is bitwise identical
+/// to a packed gemm() of the same shapes, since both follow the packed
+/// path's per-element summation (la/tuning.hpp).
 void gemm_many(Trans ta, Trans tb, Real alpha,
                const std::vector<GemmBatchItem>& items, RealConstView b,
                Real beta);

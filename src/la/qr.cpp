@@ -58,7 +58,9 @@ constexpr Index kRightLanes = 16;
 /// its lanes stay in registers across the p loop. The avx2 clone has no
 /// FMA, so nothing contracts `ti - c * tp` and the result matches the
 /// scalar substitution bit for bit (an avx512f clone would contract).
-/// No clones under TSan, for the reason given at micro_kernel in blas.cpp.
+/// No clones under TSan: the multi-versioned symbol's IFUNC resolver runs
+/// during relocation, before the TSan runtime is up, and segfaults every
+/// binary that links this TU.
 #if defined(__x86_64__) && defined(__has_attribute) && \
     !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)

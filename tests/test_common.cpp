@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -111,11 +112,48 @@ TEST(Cli, RejectsUnknownOption) {
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
+  // The default's form types the option, so parse() itself rejects a
+  // value of the wrong type, naming the option and the value.
+  const struct {
+    const char* value;
+    const char* message;
+  } cases[] = {{"--n=4x", "option --n: '4x' is not an integer"},
+               {"--n=1.5", "option --n: '1.5' is not an integer"},
+               {"--n=", "option --n: '' is not an integer"},
+               {"--x=abc", "option --x: 'abc' is not a number"}};
+  for (const auto& c : cases) {
+    CliParser cli("test");
+    cli.add("n", "4", "count").add("x", "1.5", "value").add("s", "a", "text");
+    const char* argv[] = {"prog", c.value, "--s=7"};
+    try {
+      cli.parse(3, argv);
+      FAIL() << "parse accepted " << c.value;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+  // A number option takes an integer, and a text option anything.
   CliParser cli("test");
-  cli.add("n", "4", "count");
-  const char* argv[] = {"prog", "--n", "4x"};
-  cli.parse(3, argv);
-  EXPECT_THROW(cli.get_index("n"), Error);
+  cli.add("x", "1.5", "value").add("s", "a", "text");
+  const char* argv[] = {"prog", "--x", "2", "--s", "3.5"};
+  cli.parse(5, argv);
+  EXPECT_DOUBLE_EQ(cli.get_real("x"), 2.0);
+  EXPECT_EQ(cli.get("s"), "3.5");
+}
+
+TEST(Cli, ParseMainReturnsTwoOnMalformedNumber) {
+  CliParser cli("test");
+  cli.add("grid", "12", "grid points per axis");
+  const char* argv[] = {"prog", "--grid", "abc"};
+  testing::internal::CaptureStderr();
+  const std::optional<int> status = cli.parse_main(3, argv);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status, std::optional<int>(2));
+  EXPECT_NE(err.find("option --grid: 'abc' is not an integer"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("--grid (default: 12)"), std::string::npos) << err;
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -1,6 +1,8 @@
 // Hot-kernel performance layer exactness tests (docs/PERFORMANCE.md):
 //  - packed micro-kernel GEMM vs. a naive triple loop over odd shapes,
-//    all transpose combinations, strided views and aliased inputs;
+//    all transpose combinations, strided views and aliased inputs, and
+//    gemm/gemm_many/gram vs. a scalar oracle of the bit contract,
+//    asserted BITWISE;
 //  - the row-oriented dense small kernels (triangular solves, the
 //    right-side solve, gram, solve_gram_from_right) vs. the element-wise
 //    formulas they replaced, asserted BITWISE, and syev/sygv accuracy;
@@ -14,6 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fft/fft1d.hpp"
@@ -136,6 +141,202 @@ TEST(PackedGemm, AliasedGramInputsMatchNaive) {
                  la::RealMatrix(45, 45));
   EXPECT_LE(la::max_abs_diff(c.view(), expected.view()),
             1e-13 * 90 * la::max_abs(expected.view()));
+}
+
+// ----- GEMM bit contract -----------------------------------------------------
+
+/// The packed path's contract (la/tuning.hpp): C is beta-scaled, then per
+/// 256-deep block of the reduction, in order, each element adds a zero-
+/// started chain over ascending p of (alpha a) b, fused exactly when the
+/// dispatched kernel fuses. Tile shape and packing must not show.
+la::RealMatrix contract_gemm(la::Trans ta, la::Trans tb, Real alpha,
+                             la::RealConstView a, la::RealConstView b,
+                             Real beta, la::RealConstView c0) {
+  constexpr Index kBlock = 256;
+  const bool fused = la::gemm_fuses_multiply_add();
+  // Rows of alpha op(A) and of op(B)ᵀ, so the chains read contiguously.
+  la::RealMatrix sa =
+      ta == la::Trans::kNo ? la::to_matrix(a) : la::transpose<Real>(a);
+  const la::RealMatrix bt =
+      tb == la::Trans::kNo ? la::transpose<Real>(b) : la::to_matrix(b);
+  for (Index i = 0; i < sa.rows(); ++i) {
+    for (Index p = 0; p < sa.cols(); ++p) sa(i, p) = alpha * sa(i, p);
+  }
+  const Index k = sa.cols();
+  la::RealMatrix c = la::to_matrix(c0);
+  for (Index i = 0; i < c.rows(); ++i) {
+    Real* ci = c.view().row_ptr(i);
+    for (Index j = 0; j < c.cols(); ++j) {
+      ci[j] = beta == Real{0}   ? Real{0}
+              : beta == Real{1} ? ci[j]
+                                : beta * ci[j];
+    }
+  }
+  for (Index p0 = 0; p0 < k; p0 += kBlock) {
+    const Index p1 = std::min(k, p0 + kBlock);
+    for (Index i = 0; i < c.rows(); ++i) {
+      const Real* ai = sa.view().row_ptr(i);
+      for (Index j = 0; j < c.cols(); ++j) {
+        const Real* bj = bt.view().row_ptr(j);
+        Real sum = 0;
+        for (Index p = p0; p < p1; ++p) {
+          sum = fused ? std::fma(ai[p], bj[p], sum) : sum + ai[p] * bj[p];
+        }
+        c(i, j) += sum;
+      }
+    }
+  }
+  return c;
+}
+
+/// Asserts equal bit patterns (so +0 and -0 differ), naming the first
+/// element that differs and how many do.
+void expect_same_bits(la::RealConstView got, la::RealConstView want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  Index bad = 0, first_i = -1, first_j = -1;
+  for (Index i = 0; i < got.rows(); ++i) {
+    for (Index j = 0; j < got.cols(); ++j) {
+      if (std::memcmp(&got(i, j), &want(i, j), sizeof(Real)) == 0) continue;
+      if (bad++ == 0) first_i = i, first_j = j;
+    }
+  }
+  EXPECT_EQ(bad, 0) << what << ": first at (" << first_i << ", " << first_j
+                    << ")";
+}
+
+la::RealMatrix random_op(la::Trans t, Index rows, Index cols, Rng& rng) {
+  return t == la::Trans::kNo ? la::RealMatrix::random_uniform(rows, cols, rng)
+                             : la::RealMatrix::random_uniform(cols, rows, rng);
+}
+
+using TransPair = std::pair<la::Trans, la::Trans>;
+using ScalePair = std::pair<Real, Real>;  // alpha, beta
+
+const std::vector<TransPair> kAllTransposes = {
+    {la::Trans::kNo, la::Trans::kNo},
+    {la::Trans::kYes, la::Trans::kNo},
+    {la::Trans::kNo, la::Trans::kYes},
+    {la::Trans::kYes, la::Trans::kYes}};
+
+std::vector<ScalePair> all_scales() {
+  std::vector<ScalePair> out;
+  for (const Real alpha : {1.0, -1.0, 0.75}) {
+    for (const Real beta : {0.0, 1.0, 1.5}) out.emplace_back(alpha, beta);
+  }
+  return out;
+}
+
+/// gemm (when it takes the packed path) and a two-item gemm_many sharing
+/// op(B) against the oracle.
+void check_contract(Index m, Index n, Index k,
+                    const std::vector<TransPair>& transposes,
+                    const std::vector<ScalePair>& scales, Rng& rng) {
+  const bool packed =
+      2.0 * double(m) * double(n) * double(k) >= la::kPackedFlopThreshold;
+  for (const auto& [ta, tb] : transposes) {
+    const la::RealMatrix a = random_op(ta, m, k, rng);
+    const la::RealMatrix a2 = random_op(ta, m + 3, k, rng);
+    const la::RealMatrix b = random_op(tb, k, n, rng);
+    const la::RealMatrix c = la::RealMatrix::random_uniform(m, n, rng);
+    const la::RealMatrix c2 = la::RealMatrix::random_uniform(m + 3, n, rng);
+    for (const auto& [alpha, beta] : scales) {
+      std::ostringstream what;
+      what << m << "x" << n << "x" << k << " ta=" << int(ta)
+           << " tb=" << int(tb) << " alpha=" << alpha << " beta=" << beta;
+      const la::RealMatrix want =
+          contract_gemm(ta, tb, alpha, a.view(), b.view(), beta, c.view());
+      if (packed) {
+        la::RealMatrix got = c;
+        la::gemm(ta, tb, alpha, a.view(), b.view(), beta, got.view());
+        expect_same_bits(got.view(), want.view(), "gemm " + what.str());
+      }
+      la::RealMatrix got = c, got2 = c2;
+      la::gemm_many(ta, tb, alpha,
+                    {{a.view(), got.view()}, {a2.view(), got2.view()}},
+                    b.view(), beta);
+      expect_same_bits(got.view(), want.view(), "gemm_many " + what.str());
+      expect_same_bits(got2.view(),
+                       contract_gemm(ta, tb, alpha, a2.view(), b.view(), beta,
+                                     c2.view())
+                           .view(),
+                       "gemm_many item 2 " + what.str());
+    }
+  }
+}
+
+TEST(GemmContract, TileRemaindersAreBitwiseTheScalarOracle) {
+  Rng rng(41);
+  // Rows and cols on both sides of the 6- and 8-row tiles and the 8- and
+  // 24-col panels; k = 600 spans three reduction blocks, the last one
+  // partial.
+  for (const Index m : {1, 5, 7, 8, 9, 13, 24}) {
+    for (const Index n : {1, 5, 7, 8, 9, 13, 24, 25, 47}) {
+      check_contract(m, n, 600, kAllTransposes, all_scales(), rng);
+    }
+  }
+}
+
+TEST(GemmContract, LobpcgShapesAreBitwiseTheScalarOracle) {
+  Rng rng(42);
+  // The SCF band LOBPCG's block products at n = 1728: Xᵀ Y (w x w) and
+  // X C (n x w), for block widths w = 24 (every case) and 72 (the
+  // transposes and scalings the LOBPCG uses).
+  check_contract(24, 24, 1728, kAllTransposes, all_scales(), rng);
+  check_contract(1728, 24, 24, kAllTransposes, all_scales(), rng);
+  check_contract(72, 72, 1728, {{la::Trans::kYes, la::Trans::kNo}},
+                 {{1.0, 0.0}}, rng);
+  check_contract(1728, 72, 72, {{la::Trans::kNo, la::Trans::kNo}},
+                 {{1.0, 0.0}, {-1.0, 1.0}}, rng);
+}
+
+TEST(GemmContract, GramIsBitwiseTheScalarOracle) {
+  Rng rng(43);
+  const struct {
+    Index m, n;
+  } shapes[] = {{600, 5}, {600, 9}, {1100, 7}, {300, 13},
+                {300, 24}, {1728, 24}, {1728, 72}};
+  for (const auto& shape : shapes) {
+    ASSERT_GE(2.0 * double(shape.n) * double(shape.n) * double(shape.m),
+              la::kPackedFlopThreshold);
+    const la::RealMatrix a =
+        la::RealMatrix::random_uniform(shape.m, shape.n, rng);
+    const la::RealMatrix zero(shape.n, shape.n);
+    std::ostringstream what;
+    what << "gram " << shape.m << "x" << shape.n;
+    expect_same_bits(la::gram(a.view()).view(),
+                     contract_gemm(la::Trans::kYes, la::Trans::kNo, 1.0,
+                                   a.view(), a.view(), 0.0, zero.view())
+                         .view(),
+                     what.str());
+  }
+}
+
+TEST(GemmContract, KernelProjectionBatchIsBitwiseTheScalarOracle) {
+  Rng rng(44);
+  // The Casida kernel projection's batch at 4 ranks: four 27-row slices
+  // of the image against one 1024 x 432 operand, views into wider
+  // buffers.
+  const la::RealMatrix image = la::RealMatrix::random_uniform(1024, 108, rng);
+  const la::RealMatrix rows = la::RealMatrix::random_uniform(1024, 432, rng);
+  la::RealMatrix got(108, 432);
+  std::vector<la::GemmBatchItem> items;
+  for (Index q = 0; q < 4; ++q) {
+    items.push_back({image.view().cols_block(27 * q, 27),
+                     got.view().rows_block(27 * q, 27)});
+  }
+  la::gemm_many(la::Trans::kYes, la::Trans::kNo, 1.0, items, rows.view(),
+                0.0);
+  for (Index q = 0; q < 4; ++q) {
+    const la::RealMatrix zero(27, 432);
+    expect_same_bits(got.view().rows_block(27 * q, 27),
+                     contract_gemm(la::Trans::kYes, la::Trans::kNo, 1.0,
+                                   image.view().cols_block(27 * q, 27),
+                                   rows.view(), 0.0, zero.view())
+                         .view(),
+                     "slice " + std::to_string(q));
+  }
 }
 
 // ----- dense small kernels -------------------------------------------------
